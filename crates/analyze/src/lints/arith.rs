@@ -27,7 +27,6 @@ const SCOPE: &[&str] = &[
     "crates/gpu-sim/src/batch.rs",
     "crates/gpu-sim/src/faults.rs",
     "crates/host/src/scheduler.rs",
-    "crates/host/src/sharded.rs",
     "crates/host/src/hybrid.rs",
     "crates/bench/src/series.rs",
     "crates/bench/src/regress.rs",

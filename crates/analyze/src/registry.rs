@@ -217,11 +217,11 @@ pub const METRICS: &[MetricDef] = &[
     metric!(SCHED_PROBE_BATCHES, "cuart.sched.probe_batches", Counter, "sched-breaker",
         "Half-open probe batches dispatched to the device while recovering."),
     metric!(SCHED_ROUTED_REQUESTS, "cuart.sched.routed_requests", Counter, "sched-route",
-        "Requests routed through a sharded scheduler's split/merge router."),
+        "Requests routed through a multi-shard scheduler's split/merge router."),
     metric!(SCHED_ROUTED_KEYS, "cuart.sched.routed_keys", Counter, "sched-route",
-        "Keys routed through a sharded scheduler's split/merge router."),
+        "Keys routed through a multi-shard scheduler's split/merge router."),
     metric!(SCHED_SHARD_PREFIX, "cuart.sched.shard.", Prefix, "sched-shard",
-        "Prefix of the per-shard scheduler twins: a scheduler running as\nshard `i` of a `ShardedScheduler` mirrors each of its counters and\ngauges to `cuart.sched.shard.<i>.<suffix>`, so per-shard counters\nsum to the global `cuart.sched.*` totals by construction."),
+        "Prefix of the per-shard scheduler twins: in a scheduler spawned\nover several devices, shard `i`'s executor mirrors each of its\ncounters and gauges to `cuart.sched.shard.<i>.<suffix>`, so per-shard\ncounters sum to the global `cuart.sched.*` totals by construction.\nA one-device scheduler writes no twins."),
     metric!(NET_CONNECTIONS, "cuart.net.connections", Gauge, "net",
         "Gauge: currently open client connections."),
     metric!(NET_ACCEPTED, "cuart.net.accepted", Counter, "net",
@@ -300,7 +300,7 @@ pub const GROUPS: &[GroupDef] = &[
     GroupDef { id: "sched-route", table_name: None,
         hook: "scale-out router (extension): client calls and point ops that went through the split→dispatch→merge path (§5.1 table)." },
     GroupDef { id: "sched-shard", table_name: Some("`cuart.sched.shard.<i>.*`"),
-        hook: "per-shard twins of every `cuart.sched.*` counter and gauge above; shard `i`'s scheduler dual-writes both, so the twins sum to the global series exactly (asserted in `tests/scheduler_sharded.rs`). Histograms and spans stay global-only to bound cardinality." },
+        hook: "per-shard twins of every `cuart.sched.*` counter and gauge above, written only when a scheduler runs several shards; shard `i`'s executor dual-writes both, so the twins sum to the global series exactly (asserted in `tests/scheduler_sharded.rs`). Histograms and spans stay global-only to bound cardinality." },
     GroupDef { id: "net", table_name: None,
         hook: "network front-end (extension): connection lifecycle and the drain-safe shutdown marker CI asserts on — the request coalescing front §3.4's batching pays off through." },
     GroupDef { id: "net-frames", table_name: None,

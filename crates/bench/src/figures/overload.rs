@@ -76,7 +76,7 @@ fn run_cell(
     for h in handles {
         h.join().expect("producer thread");
     }
-    sched.join().expect("executor alive")
+    sched.join().expect("executor alive").aggregate()
 }
 
 /// Goodput fraction in percent: dispatched keys over offered keys.

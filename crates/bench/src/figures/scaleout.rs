@@ -2,11 +2,10 @@
 //!
 //! Not a paper figure: the paper serves from one GPU, while the ROADMAP
 //! north-star asks for production-scale serving across several devices.
-//! This sweep drives the [`cuart_host::sharded`] layer end to end — N
-//! producer threads submitting point-lookup requests through a
-//! [`ShardedClient`], the router splitting each request by the §3.3 LUT
-//! prefix and dispatching the sub-batches concurrently to one scheduler
-//! per simulated device.
+//! This sweep drives a [`Scheduler`] fleet end to end — N producer
+//! threads submitting point-lookup requests through its client, the
+//! router splitting each request by the §3.3 LUT prefix and dispatching
+//! the sub-batches concurrently to one executor per simulated device.
 //!
 //! * **shard count** (x-axis) — the fleet size, one shard per device,
 //! * **fleet mix** (series) — a homogeneous RTX 3090 fleet next to a
@@ -23,8 +22,7 @@
 use crate::context::RunCtx;
 use crate::series::{Figure, Series};
 use cuart_gpu_sim::DeviceConfig;
-use cuart_host::scheduler::SchedulerConfig;
-use cuart_host::sharded::{ShardedScheduler, ShardedStats};
+use cuart_host::scheduler::{Scheduler, SchedulerConfig, ShardedStats};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -67,8 +65,7 @@ fn run_cell(
         deadline: Duration::from_micros(500),
         ..SchedulerConfig::default()
     };
-    let sharded =
-        ShardedScheduler::spawn(Arc::clone(index), devices, cfg).expect("non-empty fleet");
+    let sharded = Scheduler::spawn_fleet(Arc::clone(index), devices, cfg).expect("non-empty fleet");
     std::thread::scope(|scope| {
         for p in 0..producers {
             let client = sharded.client().expect("fresh fleet");

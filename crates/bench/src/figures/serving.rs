@@ -88,7 +88,7 @@ fn run_cell(
     for h in handles {
         h.join().expect("producer thread");
     }
-    sched.join().expect("executor alive")
+    sched.join().expect("executor alive").aggregate()
 }
 
 /// Modeled serving throughput in MOps/s: launch overhead charged once per

@@ -135,12 +135,8 @@ fn required_path(_args: &Args, what: &str, value: Option<&str>) -> PathBuf {
 /// flag switches injection on; the seed defaults to 0 and the rate to
 /// 0.05 (the 5 % drill rate).
 fn fault_options(args: &Args) -> Option<FaultOptions> {
-    let seed = args
-        .flag("fault-seed")
-        .map(|s| s.parse().unwrap_or_else(|_| fail("bad --fault-seed")));
-    let rate: Option<f64> = args
-        .flag("fault-rate")
-        .map(|s| s.parse().unwrap_or_else(|_| fail("bad --fault-rate")));
+    let seed = num(args, "fault-seed");
+    let rate: Option<f64> = num(args, "fault-rate");
     if seed.is_none() && rate.is_none() {
         return None;
     }
@@ -154,13 +150,16 @@ fn fault_options(args: &Args) -> Option<FaultOptions> {
     })
 }
 
-/// Parse the serve-sim overload knobs (`--admission`,
-/// `--admission-timeout-us`, `--queue-cap`, `--op-deadline-us`).
-fn overload_options(args: &Args) -> OverloadOptions {
-    let timeout_us: Option<u64> = args.flag("admission-timeout-us").map(|s| {
-        s.parse()
-            .unwrap_or_else(|_| fail("bad --admission-timeout-us"))
-    });
+/// Parse a numeric flag, failing with its name when malformed.
+fn num<T: std::str::FromStr>(args: &Args, name: &str) -> Option<T> {
+    args.flag(name)
+        .map(|s| s.parse().unwrap_or_else(|_| fail(&format!("bad --{name}"))))
+}
+
+/// Parse the scheduler flags `serve-sim` and `serve` share.
+fn serving_args(args: &Args) -> ServingArgs {
+    let defaults = ServingArgs::default();
+    let timeout_us: Option<u64> = num(args, "admission-timeout-us");
     let admission = match (args.flag("admission"), timeout_us) {
         (Some("reject"), _) => AdmissionPolicy::Reject,
         (Some("block") | None, Some(us)) => {
@@ -169,26 +168,21 @@ fn overload_options(args: &Args) -> OverloadOptions {
         (Some("block") | None, None) => AdmissionPolicy::Block,
         (Some(other), _) => fail(&format!("bad --admission {other:?} (block|reject)")),
     };
-    OverloadOptions {
+    ServingArgs {
+        device: args.flag("device").unwrap_or(&defaults.device).to_string(),
+        batch: num(args, "batch").unwrap_or(defaults.batch),
+        deadline_us: num(args, "deadline-us").unwrap_or(defaults.deadline_us),
+        unsorted: args.has("unsorted"),
+        smoke: false,
+        faults: fault_options(args),
         admission,
-        queue_cap: args
-            .flag("queue-cap")
-            .map(|s| s.parse().unwrap_or_else(|_| fail("bad --queue-cap")))
-            .unwrap_or(0),
-        op_deadline_us: args
-            .flag("op-deadline-us")
-            .map(|s| s.parse().unwrap_or_else(|_| fail("bad --op-deadline-us"))),
-    }
-}
-
-/// Parse the serve-sim scale-out knobs (`--shards`, `--shard-devices`).
-fn shard_options(args: &Args) -> ShardOptions {
-    ShardOptions {
-        shards: args
-            .flag("shards")
-            .map(|s| s.parse().unwrap_or_else(|_| fail("bad --shards")))
-            .unwrap_or(0),
-        devices: args.flag("shard-devices").map(str::to_string),
+        queue_cap: num(args, "queue-cap").unwrap_or(0),
+        op_deadline_us: num(args, "op-deadline-us"),
+        shards: num(args, "shards").unwrap_or(0),
+        shard_devices: args.flag("shard-devices").map(str::to_string),
+        metrics_out: args.flag("metrics-out").map(PathBuf::from),
+        trace_out: args.flag("trace-out").map(PathBuf::from),
+        folded_out: args.flag("folded-out").map(PathBuf::from),
     }
 }
 
@@ -204,10 +198,7 @@ fn main() {
         "build" => {
             let keys = required_path(&args, "--keys FILE", args.flag("keys"));
             let out = required_path(&args, "--out FILE", args.flag("out"));
-            let span = args
-                .flag("lut-span")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --lut-span")))
-                .unwrap_or(3);
+            let span = num(&args, "lut-span").unwrap_or(3);
             cmd_build(&keys, &out, hex, span)
         }
         "info" => cmd_info(&required_path(&args, "INDEX", args.pos(0))),
@@ -220,10 +211,7 @@ fn main() {
             let idx = required_path(&args, "INDEX", args.pos(0));
             let lo = args.pos(1).unwrap_or_else(|| fail("missing LO"));
             let hi = args.pos(2).unwrap_or_else(|| fail("missing HI"));
-            let limit = args
-                .flag("limit")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --limit")))
-                .unwrap_or(20);
+            let limit = num(&args, "limit").unwrap_or(20);
             cmd_range(&idx, lo, hi, hex, limit)
         }
         "query" => {
@@ -241,14 +229,8 @@ fn main() {
         }
         "bench" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
-            let batch = args
-                .flag("batch")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-                .unwrap_or(32 * 1024);
-            let batches = args
-                .flag("batches")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batches")))
-                .unwrap_or(8);
+            let batch = num(&args, "batch").unwrap_or(32 * 1024);
+            let batches = num(&args, "batches").unwrap_or(8);
             let metrics_out = args.flag("metrics-out").map(PathBuf::from);
             cmd_bench(
                 &idx,
@@ -262,14 +244,8 @@ fn main() {
         "metrics" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
             let keys = args.flag("keys").map(PathBuf::from);
-            let batch = args
-                .flag("batch")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-                .unwrap_or(4096);
-            let batches = args
-                .flag("batches")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batches")))
-                .unwrap_or(4);
+            let batch = num(&args, "batch").unwrap_or(4096);
+            let batches = num(&args, "batches").unwrap_or(4);
             let metrics_out = args.flag("metrics-out").map(PathBuf::from);
             cmd_metrics(
                 &idx,
@@ -284,40 +260,16 @@ fn main() {
         }
         "serve-sim" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
-            let producers = args
-                .flag("producers")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --producers")))
-                .unwrap_or(4);
-            let deadline_us = args
-                .flag("deadline-us")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --deadline-us")))
-                .unwrap_or(200);
-            let batch = args
-                .flag("batch")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-                .unwrap_or(32 * 1024);
-            let ops = args
-                .flag("ops")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --ops")))
-                .unwrap_or(64 * 1024);
-            let metrics_out = args.flag("metrics-out").map(PathBuf::from);
-            let trace_out = args.flag("trace-out").map(PathBuf::from);
-            let folded_out = args.flag("folded-out").map(PathBuf::from);
+            let serving = ServingArgs {
+                smoke: args.has("smoke"),
+                ..serving_args(&args)
+            };
+            let producers = num(&args, "producers").unwrap_or(4);
             cmd_serve_sim(
                 &idx,
-                args.flag("device").unwrap_or("rtx3090"),
                 producers,
-                deadline_us,
-                batch,
-                ops,
-                args.has("unsorted"),
-                args.has("smoke"),
-                metrics_out.as_deref(),
-                trace_out.as_deref(),
-                folded_out.as_deref(),
-                fault_options(&args),
-                overload_options(&args),
-                shard_options(&args),
+                num(&args, "ops").unwrap_or(64 * 1024),
+                &serving,
             )
         }
         "serve" => {
@@ -325,60 +277,26 @@ fn main() {
             let listen = args
                 .flag("listen")
                 .unwrap_or_else(|| fail("missing --listen ADDR"));
-            let deadline_us = args
-                .flag("deadline-us")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --deadline-us")))
-                .unwrap_or(200);
-            let batch = args
-                .flag("batch")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-                .unwrap_or(32 * 1024);
-            let metrics_out = args.flag("metrics-out").map(PathBuf::from);
-            let trace_out = args.flag("trace-out").map(PathBuf::from);
-            let folded_out = args.flag("folded-out").map(PathBuf::from);
             let mut net = NetOptions {
                 allow_shutdown: args.has("allow-shutdown"),
                 ..NetOptions::default()
             };
-            if let Some(w) = args.flag("window") {
-                net.window = w.parse().unwrap_or_else(|_| fail("bad --window"));
+            if let Some(w) = num(&args, "window") {
+                net.window = w;
             }
-            if let Some(w) = args.flag("workers") {
-                net.workers = w.parse().unwrap_or_else(|_| fail("bad --workers"));
+            if let Some(w) = num(&args, "workers") {
+                net.workers = w;
             }
-            if let Some(ms) = args.flag("idle-timeout-ms") {
-                net.idle_timeout_ms = ms.parse().unwrap_or_else(|_| fail("bad --idle-timeout-ms"));
+            if let Some(ms) = num(&args, "idle-timeout-ms") {
+                net.idle_timeout_ms = ms;
             }
-            cmd_serve(
-                &idx,
-                listen,
-                args.flag("device").unwrap_or("rtx3090"),
-                deadline_us,
-                batch,
-                args.has("unsorted"),
-                metrics_out.as_deref(),
-                trace_out.as_deref(),
-                folded_out.as_deref(),
-                fault_options(&args),
-                overload_options(&args),
-                shard_options(&args),
-                net,
-            )
+            cmd_serve(&idx, listen, &serving_args(&args), net)
         }
         "bench-net" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
-            let clients = args
-                .flag("clients")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --clients")))
-                .unwrap_or(4);
-            let ops = args
-                .flag("ops")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --ops")))
-                .unwrap_or(64 * 1024);
-            let req_keys = args
-                .flag("req-keys")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --req-keys")))
-                .unwrap_or(256);
+            let clients = num(&args, "clients").unwrap_or(4);
+            let ops = num(&args, "ops").unwrap_or(64 * 1024);
+            let req_keys = num(&args, "req-keys").unwrap_or(256);
             let metrics_out = args.flag("metrics-out").map(PathBuf::from);
             cmd_bench_net(
                 &idx,
@@ -394,14 +312,8 @@ fn main() {
         }
         "trace" => {
             let idx = required_path(&args, "INDEX", args.pos(0));
-            let batch = args
-                .flag("batch")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batch")))
-                .unwrap_or(4096);
-            let batches = args
-                .flag("batches")
-                .map(|s| s.parse().unwrap_or_else(|_| fail("bad --batches")))
-                .unwrap_or(8);
+            let batch = num(&args, "batch").unwrap_or(4096);
+            let batches = num(&args, "batches").unwrap_or(8);
             let out = args.flag("out").map(PathBuf::from);
             let folded = args.flag("folded").map(PathBuf::from);
             cmd_trace(

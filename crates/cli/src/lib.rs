@@ -44,13 +44,13 @@ use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::{devices, DeviceConfig, FaultConfig, FaultInjector};
 pub use cuart_host::scheduler::AdmissionPolicy;
-use cuart_host::scheduler::{BreakerConfig, SchedError, Scheduler, SchedulerConfig};
-use cuart_host::sharded::ShardedScheduler;
+use cuart_host::scheduler::{BreakerConfig, Op, Request, SchedError, Scheduler, SchedulerConfig};
 use cuart_telemetry::tracing::{critical_paths, to_chrome_json, to_folded};
 use cuart_telemetry::{Snapshot, Telemetry};
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -265,57 +265,176 @@ pub struct FaultOptions {
     pub rate: f64,
 }
 
-/// Overload-protection options for `serve-sim` (`--admission`,
-/// `--admission-timeout-us`, `--queue-cap`, `--op-deadline-us`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OverloadOptions {
-    /// What producers experience when the bounded queue is full.
+/// The scheduler flags `serve-sim` and `serve` share — device(s),
+/// batching, fault injection, overload protection and telemetry outputs —
+/// and the one place they turn into a running [`Scheduler`]. `bench-net`
+/// builds one with fixed values for its self-hosted server.
+#[derive(Debug, Clone)]
+pub struct ServingArgs {
+    /// `--device`: every shard's device unless `--shard-devices` names them.
+    pub device: String,
+    /// `--batch`: size-flush target in keys.
+    pub batch: usize,
+    /// `--deadline-us`: flush a batch once its oldest op waited this long.
+    pub deadline_us: u64,
+    /// `--unsorted`: pack batches in arrival order (the locality control).
+    pub unsorted: bool,
+    /// `--smoke` (serve-sim): pin the workload to 8192 ops in batches of
+    /// 1024; with fault flags on one device, replace the random rate by a
+    /// deterministic fault storm that walks the circuit breaker.
+    pub smoke: bool,
+    /// `--fault-seed` / `--fault-rate`.
+    pub faults: Option<FaultOptions>,
+    /// `--admission` / `--admission-timeout-us`: what producers experience
+    /// when the bounded queue is full.
     pub admission: AdmissionPolicy,
-    /// Resident-op cap of the submission queue; 0 = unbounded.
+    /// `--queue-cap`: resident-op cap of each shard's queue; 0 = unbounded.
     pub queue_cap: usize,
-    /// Default per-op latency budget in microseconds; expired ops are
+    /// `--op-deadline-us`: default per-op latency budget; expired ops are
     /// shed with `DeadlineExceeded` before dispatch.
     pub op_deadline_us: Option<u64>,
-}
-
-/// Scale-out options for `serve-sim` (`--shards`, `--shard-devices`).
-#[derive(Debug, Clone, Default)]
-pub struct ShardOptions {
-    /// Number of shards; `0` or `1` selects the single-device path.
+    /// `--shards`: number of key-space shards; `0` or `1` serves from one
+    /// device.
     pub shards: usize,
-    /// Comma-separated device names, one per shard (e.g.
-    /// `rtx3090,rtx3090,gtx1070,gtx1070`). Overrides `--device`; when
-    /// `--shards` is also given the counts must agree.
-    pub devices: Option<String>,
+    /// `--shard-devices`: comma-separated device names, one per shard
+    /// (e.g. `rtx3090,rtx3090,gtx1070,gtx1070`). Overrides `--device`;
+    /// when `--shards` is also given the counts must agree.
+    pub shard_devices: Option<String>,
+    /// `--metrics-out`: JSON telemetry snapshot of the run.
+    pub metrics_out: Option<PathBuf>,
+    /// `--trace-out`: Chrome-trace JSON of the recorded span trees.
+    pub trace_out: Option<PathBuf>,
+    /// `--folded-out`: flamegraph folded stacks of the span trees.
+    pub folded_out: Option<PathBuf>,
 }
 
-impl ShardOptions {
-    /// Resolve the shard device list: `--shard-devices` names, or
-    /// `--shards` copies of the `--device` default.
-    fn resolve(&self, default_dev: DeviceConfig) -> Result<Vec<DeviceConfig>, CliError> {
-        match &self.devices {
-            Some(list) => {
-                let devs: Vec<DeviceConfig> = list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(device_by_name)
-                    .collect::<Result<_, _>>()?;
-                if devs.is_empty() {
-                    return Err(CliError::Input("--shard-devices names no device".into()));
-                }
-                if self.shards > 1 && devs.len() != self.shards {
-                    return Err(CliError::Input(format!(
-                        "--shards {} disagrees with --shard-devices ({} devices)",
-                        self.shards,
-                        devs.len()
-                    )));
-                }
-                Ok(devs)
-            }
-            None => Ok(vec![default_dev; self.shards.max(1)]),
+impl Default for ServingArgs {
+    fn default() -> Self {
+        ServingArgs {
+            device: "rtx3090".into(),
+            batch: 32 * 1024,
+            deadline_us: 200,
+            unsorted: false,
+            smoke: false,
+            faults: None,
+            admission: AdmissionPolicy::Block,
+            queue_cap: 0,
+            op_deadline_us: None,
+            shards: 0,
+            shard_devices: None,
+            metrics_out: None,
+            trace_out: None,
+            folded_out: None,
         }
     }
+}
+
+impl ServingArgs {
+    /// The shard device list: `--shard-devices` names, or `--shards`
+    /// copies of `--device`.
+    fn devices(&self) -> Result<Vec<DeviceConfig>, CliError> {
+        let Some(list) = &self.shard_devices else {
+            return Ok(vec![device_by_name(&self.device)?; self.shards.max(1)]);
+        };
+        let devs: Vec<DeviceConfig> = list
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(device_by_name)
+            .collect::<Result<_, _>>()?;
+        if devs.is_empty() {
+            return Err(CliError::Input("--shard-devices names no device".into()));
+        }
+        if self.shards > 1 && devs.len() != self.shards {
+            return Err(CliError::Input(format!(
+                "--shards {} disagrees with --shard-devices ({} devices)",
+                self.shards,
+                devs.len()
+            )));
+        }
+        Ok(devs)
+    }
+
+    /// Whether the run drives the deterministic smoke fault storm: only
+    /// when the injector can fire, and only on one device (a fleet
+    /// re-seeds its injectors per shard, so the pinned schedule would not
+    /// line up).
+    fn smoke_storm(&self, shards: usize) -> bool {
+        self.smoke && self.faults.is_some() && FaultInjector::is_active() && shards == 1
+    }
+
+    /// Spawn the scheduler these options describe over `index`.
+    pub fn spawn(&self, index: Arc<CuartIndex>) -> Result<Scheduler, CliError> {
+        let devs = self.devices()?;
+        if self.faults.is_some() && !FaultInjector::is_active() {
+            eprintln!(
+                "warning: built without the `faults` feature; \
+                 --fault-seed/--fault-rate have no effect"
+            );
+        }
+        let storm = self.smoke_storm(devs.len());
+        let cfg = SchedulerConfig {
+            batch_target: if self.smoke { 1024 } else { self.batch.max(1) },
+            deadline: Duration::from_micros(self.deadline_us),
+            sort_batches: !self.unsorted,
+            // The storm: a pinned run of early device-op faults (degrade
+            // + breaker trip), clean afterwards (half-open probes recover).
+            fault_injector: self.faults.map(|f| {
+                if storm {
+                    FaultInjector::new(FaultConfig::uniform(f.seed, 0.0).fail_range(0, 8))
+                } else {
+                    FaultInjector::uniform(f.seed, f.rate)
+                }
+            }),
+            queue_cap: self.queue_cap,
+            admission: self.admission,
+            op_deadline: self.op_deadline_us.map(Duration::from_micros),
+            // A short cooldown lets the Open → HalfOpen → Closed walk
+            // complete inside the pinned smoke workload.
+            breaker: Some(if storm {
+                BreakerConfig {
+                    open_cooldown: Duration::from_millis(2),
+                    probe_batches: 1,
+                    ..BreakerConfig::default()
+                }
+            } else {
+                BreakerConfig::default()
+            }),
+        };
+        Scheduler::spawn_fleet(index, &devs, cfg).map_err(sched_err)
+    }
+
+    /// The shared output tail: the telemetry-feature warning, the JSON
+    /// metrics spill and the Chrome-trace / folded-stack exports.
+    fn spill(&self, out: &mut String, telemetry: &Telemetry) -> Result<(), CliError> {
+        if !cfg!(feature = "telemetry") {
+            eprintln!("warning: built without the `telemetry` feature; metrics will be empty");
+        }
+        if let Some(path) = &self.metrics_out {
+            out.push_str(&spill_metrics(telemetry, path)?);
+        }
+        if self.trace_out.is_some() || self.folded_out.is_some() {
+            let snap = telemetry.snapshot();
+            if let Some(p) = &self.trace_out {
+                std::fs::write(p, to_chrome_json(&snap.spans))?;
+                let _ = write!(
+                    out,
+                    "\ntrace -> {} ({} spans)",
+                    p.display(),
+                    snap.spans.len()
+                );
+            }
+            if let Some(p) = &self.folded_out {
+                std::fs::write(p, to_folded(&snap.spans))?;
+                let _ = write!(out, "\nfolded -> {}", p.display());
+            }
+        }
+        Ok(())
+    }
+}
+
+fn sched_err(e: SchedError) -> CliError {
+    CliError::Input(format!("scheduler: {e}"))
 }
 
 /// Open a device session, attaching a [`FaultInjector`] when fault
@@ -528,54 +647,41 @@ pub fn cmd_metrics(
 
 /// Drive the concurrent serving layer against a saved index: N producer
 /// threads submit point lookups through the
-/// [`scheduler`](cuart_host::scheduler), whose executor coalesces them
-/// into adaptive batches (size target `batch`, flush deadline
-/// `deadline_us`), sorted for locality unless `unsorted` is set.
+/// [`scheduler`](cuart_host::scheduler), whose executors coalesce them
+/// into adaptive batches (size target `--batch`, flush deadline
+/// `--deadline-us`), sorted for locality unless `--unsorted` is set.
 ///
 /// Probes replay the stored keys round-robin (all hits) in shuffled
-/// order. With `metrics_out`, a JSON telemetry snapshot of the run —
-/// including the `cuart.sched.*` series — is written too. `smoke` pins
+/// order. With `--metrics-out`, a JSON telemetry snapshot of the run —
+/// including the `cuart.sched.*` series — is written too. `--smoke` pins
 /// the workload shape (8192 ops in batches of 1024) so CI runs are
-/// comparable; `trace_out` / `folded_out` export the recorded
+/// comparable; `--trace-out` / `--folded-out` export the recorded
 /// `sched.batch.*` span trees as Chrome-trace JSON / folded stacks.
 ///
 /// Producers tolerate overload refusals (`QueueFull`, `AdmissionTimeout`,
 /// `DeadlineExceeded` are counted, not fatal); any other scheduler error
-/// still fails the command. Under `smoke` with faults armed the random
+/// still fails the command. Under `--smoke` with faults armed the random
 /// rate is replaced by a pinned deterministic fault storm and the run is
 /// extended until the circuit breaker demonstrably walks
 /// `Open → HalfOpen → Closed` (a 5 % random rate cannot reliably produce
 /// a full trip-and-recover inside 8192 ops), so the CI overload drill can
 /// assert a clean `recovered` event in the metrics spill.
 ///
-/// With `shard` asking for more than one device (`--shards N`,
-/// `--shard-devices`), the run switches to the
-/// [`sharded`](cuart_host::sharded) scale-out layer: one scheduler per
-/// device, key space split by the §3.3 LUT prefix, per-shard breakers and
-/// `cuart.sched.shard.<i>.*` telemetry, and a modeled aggregate
-/// throughput line (total keys over the slowest shard).
-#[allow(clippy::too_many_arguments)]
+/// With more than one device (`--shards N`, `--shard-devices`) the key
+/// space is split by the §3.3 LUT prefix, one executor per device with its
+/// own breaker and `cuart.sched.shard.<i>.*` telemetry, and the summary
+/// adds a modeled aggregate throughput line (total keys over the slowest
+/// shard) and one line per shard.
 pub fn cmd_serve_sim(
     path: &Path,
-    device: &str,
     producers: usize,
-    deadline_us: u64,
-    batch: usize,
     ops: usize,
-    unsorted: bool,
-    smoke: bool,
-    metrics_out: Option<&Path>,
-    trace_out: Option<&Path>,
-    folded_out: Option<&Path>,
-    faults: Option<FaultOptions>,
-    overload: OverloadOptions,
-    shard: ShardOptions,
+    serving: &ServingArgs,
 ) -> Result<String, CliError> {
+    const REQUEST_KEYS: usize = 256;
     let producers = producers.max(1);
-    let (ops, batch) = if smoke { (8192, 1024) } else { (ops, batch) };
+    let ops = if serving.smoke { 8192 } else { ops };
     let index = CuartIndex::load(path)?;
-    let dev = device_by_name(device)?;
-    let devs = shard.resolve(dev)?;
     let telemetry = Arc::new(Telemetry::new());
     let index = Arc::new(index.with_telemetry(telemetry.clone()));
     let stored = cuart::range::range_query(
@@ -586,69 +692,9 @@ pub fn cmd_serve_sim(
     if stored.is_empty() {
         return Err(CliError::Input("index is empty".into()));
     }
-    if faults.is_some() && !FaultInjector::is_active() {
-        eprintln!(
-            "warning: built without the `faults` feature; \
-             --fault-seed/--fault-rate have no effect"
-        );
-    }
-    // The deterministic smoke storm: a pinned run of early device-op
-    // faults (degrade + breaker trip), clean afterwards (half-open probes
-    // recover). Only meaningful when the injector can actually fire, and
-    // only driven on the single-device path (the sharded path re-seeds
-    // injectors per shard, so the pinned schedule would not line up).
-    let smoke_storm = smoke && faults.is_some() && FaultInjector::is_active() && devs.len() == 1;
-    let injector = faults.map(|f| {
-        if smoke_storm {
-            FaultInjector::new(FaultConfig::uniform(f.seed, 0.0).fail_range(0, 8))
-        } else {
-            FaultInjector::uniform(f.seed, f.rate)
-        }
-    });
-    let breaker = if smoke_storm {
-        // Short cooldown so the Open → HalfOpen → Closed walk completes
-        // inside the pinned smoke workload.
-        Some(BreakerConfig {
-            open_cooldown: std::time::Duration::from_millis(2),
-            probe_batches: 1,
-            ..BreakerConfig::default()
-        })
-    } else {
-        Some(BreakerConfig::default())
-    };
-    let cfg = SchedulerConfig {
-        batch_target: batch.max(1),
-        deadline: std::time::Duration::from_micros(deadline_us),
-        sort_batches: !unsorted,
-        fault_injector: injector,
-        queue_cap: overload.queue_cap,
-        admission: overload.admission,
-        op_deadline: overload
-            .op_deadline_us
-            .map(std::time::Duration::from_micros),
-        breaker,
-        shard: None,
-    };
-    if devs.len() > 1 {
-        return serve_sim_sharded(ShardRun {
-            index,
-            telemetry,
-            stored,
-            cfg,
-            devs,
-            producers,
-            ops,
-            smoke,
-            queue_cap: overload.queue_cap,
-            op_deadline_us: overload.op_deadline_us,
-            metrics_out,
-            trace_out,
-            folded_out,
-        });
-    }
-    let sched = Scheduler::spawn(Arc::clone(&index), dev, cfg);
+    let storm = serving.smoke_storm(serving.devices()?.len());
+    let sched = serving.spawn(Arc::clone(&index))?;
     let per_producer = ops.div_ceil(producers).max(1);
-    const REQUEST_KEYS: usize = 256;
     /// Per-producer outcome tally: hits plus refused-op counts.
     #[derive(Default)]
     struct Tally {
@@ -659,9 +705,7 @@ pub fn cmd_serve_sim(
     }
     let mut handles = Vec::new();
     for p in 0..producers {
-        let client = sched
-            .client()
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
+        let client = sched.client().map_err(sched_err)?;
         // Each producer strides through the stored keys from its own
         // offset, so arrival order at the executor is interleaved and
         // unsorted.
@@ -695,23 +739,24 @@ pub fn cmd_serve_sim(
         let t = h
             .join()
             .map_err(|_| CliError::Input("producer thread panicked".into()))?
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
+            .map_err(sched_err)?;
         tally.hits += t.hits;
         tally.shed += t.shed;
         tally.rejected += t.rejected;
         tally.timed_out += t.timed_out;
     }
-    if smoke_storm {
+    if storm {
         drive_breaker_recovery(&sched, &telemetry, &stored)?;
     }
-    if smoke && overload.op_deadline_us.is_some() {
+    if serving.smoke && serving.op_deadline_us.is_some() {
         // Deterministic shed probe: a zero-budget lookup is expired by the
         // time the executor coalesces it, so the drill always exercises
         // (and the CI assertion always sees) the shedding path.
-        let client = sched
-            .client()
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        match client.lookup_with_deadline(vec![stored[0].0.clone()], std::time::Duration::ZERO) {
+        let probe = Request {
+            op: Op::Lookup(vec![stored[0].0.clone()]),
+            deadline: Some(Duration::ZERO),
+        };
+        match sched.client().map_err(sched_err)?.submit(probe) {
             Err(SchedError::DeadlineExceeded) => tally.shed += 1,
             other => {
                 return Err(CliError::Input(format!(
@@ -720,213 +765,68 @@ pub fn cmd_serve_sim(
             }
         }
     }
-    let stats = sched
-        .join()
-        .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
+    let stats = sched.join().map_err(sched_err)?;
+    let agg = stats.aggregate();
+    let place = match &stats.shards[..] {
+        [one] => format!("on {}", one.device.name),
+        all => format!("over {} shards", all.len()),
+    };
     let mut out = format!(
-        "{} lookups from {producers} producers on {} — {} batches \
+        "{} lookups from {producers} producers {place} — {} batches \
          (mean fill {:.0}, {} size / {} deadline / {} final flushes)\n\
          modeled kernel {:.1} µs total, {:.2} ns/key, L2 hit rate {:.0}%, {} hits",
-        stats.ops_enqueued,
-        dev.name,
-        stats.batches,
-        stats.mean_batch_fill(),
-        stats.size_flushes,
-        stats.deadline_flushes,
-        stats.final_flushes,
-        stats.kernel_time_ns / 1e3,
-        stats.kernel_ns_per_key(),
-        100.0 * stats.l2_hit_rate(),
+        agg.ops_enqueued,
+        agg.batches,
+        agg.mean_batch_fill(),
+        agg.size_flushes,
+        agg.deadline_flushes,
+        agg.final_flushes,
+        agg.kernel_time_ns / 1e3,
+        agg.kernel_ns_per_key(),
+        100.0 * agg.l2_hit_rate(),
         tally.hits,
     );
     let _ = write!(
         out,
         "\noverload: {} shed / {} rejected / {} admission timeouts, \
-         max resident {} (cap {})\nbreaker: {} trips, {} probe batches, \
+         max resident {} (cap {} per shard)\nbreaker: {} trips, {} probe batches, \
          {} cpu-only batches",
-        stats.shed_ops,
-        stats.rejected_ops,
-        stats.admission_timeout_ops,
-        stats.max_resident_ops,
-        overload.queue_cap,
-        stats.breaker_trips,
-        stats.probe_batches,
-        stats.breaker_open_batches,
+        agg.shed_ops,
+        agg.rejected_ops,
+        agg.admission_timeout_ops,
+        agg.max_resident_ops,
+        serving.queue_cap,
+        agg.breaker_trips,
+        agg.probe_batches,
+        agg.breaker_open_batches,
     );
-    spill_serving_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
-    Ok(out)
-}
-
-/// Everything the sharded serve-sim branch needs, bundled to stay under
-/// clippy's argument limit.
-struct ShardRun<'a> {
-    index: Arc<CuartIndex>,
-    telemetry: Arc<Telemetry>,
-    stored: Vec<(Vec<u8>, u64)>,
-    cfg: SchedulerConfig,
-    devs: Vec<DeviceConfig>,
-    producers: usize,
-    ops: usize,
-    smoke: bool,
-    queue_cap: usize,
-    op_deadline_us: Option<u64>,
-    metrics_out: Option<&'a Path>,
-    trace_out: Option<&'a Path>,
-    folded_out: Option<&'a Path>,
-}
-
-/// The `--shards N` / `--shard-devices` serve-sim path: one scheduler per
-/// device, key space split by the §3.3 LUT prefix, producers submitting
-/// through the fleet router. Prints the aggregate summary, the modeled
-/// scale-out throughput (total keys over the slowest shard) and one line
-/// per shard.
-fn serve_sim_sharded(run: ShardRun<'_>) -> Result<String, CliError> {
-    const REQUEST_KEYS: usize = 256;
-    let sharded = ShardedScheduler::spawn(Arc::clone(&run.index), &run.devs, run.cfg)
-        .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-    let per_producer = run.ops.div_ceil(run.producers).max(1);
-    #[derive(Default)]
-    struct Tally {
-        hits: u64,
-        shed: u64,
-        rejected: u64,
-        timed_out: u64,
-    }
-    let mut handles = Vec::new();
-    for p in 0..run.producers {
-        let client = sharded
-            .client()
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        let probes: Vec<Vec<u8>> = (0..per_producer)
-            .map(|i| {
-                run.stored[p.wrapping_mul(131).wrapping_add(i.wrapping_mul(7)) % run.stored.len()]
-                    .0
-                    .clone()
-            })
-            .collect();
-        handles.push(std::thread::spawn(move || -> Result<Tally, SchedError> {
-            let mut tally = Tally::default();
-            for chunk in probes.chunks(REQUEST_KEYS) {
-                match client.lookup(chunk.to_vec()) {
-                    Ok(results) => {
-                        tally.hits += results.iter().filter(|&&r| r != NOT_FOUND).count() as u64;
-                    }
-                    Err(SchedError::DeadlineExceeded) => tally.shed += chunk.len() as u64,
-                    Err(SchedError::QueueFull) => tally.rejected += chunk.len() as u64,
-                    Err(SchedError::AdmissionTimeout) => tally.timed_out += chunk.len() as u64,
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(tally)
-        }));
-    }
-    let mut tally = Tally::default();
-    for h in handles {
-        let t = h
-            .join()
-            .map_err(|_| CliError::Input("producer thread panicked".into()))?
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        tally.hits += t.hits;
-        tally.shed += t.shed;
-        tally.rejected += t.rejected;
-        tally.timed_out += t.timed_out;
-    }
-    if run.smoke && run.op_deadline_us.is_some() {
-        // Same deterministic shed probe as the single-device drill.
-        let client = sharded
-            .client()
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        match client.lookup_with_deadline(vec![run.stored[0].0.clone()], std::time::Duration::ZERO)
-        {
-            Err(SchedError::DeadlineExceeded) => tally.shed += 1,
-            other => {
-                return Err(CliError::Input(format!(
-                    "shed probe: expected DeadlineExceeded, got {other:?}"
-                )))
-            }
-        }
-    }
-    let stats = sharded
-        .join()
-        .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-    let agg = stats.aggregate();
-    let mut out = format!(
-        "{} lookups from {} producers over {} shards — {} batches \
-         (mean fill {:.0}), {} routed requests\n\
-         modeled scale-out {:.1} MOps/s (slowest shard {:.1} µs busy), {} hits",
-        agg.ops_enqueued,
-        run.producers,
-        stats.shards.len(),
-        agg.batches,
-        agg.mean_batch_fill(),
-        stats.routed_requests,
-        stats.modeled_aggregate_mops(),
-        stats.modeled_time_ns() / 1e3,
-        tally.hits,
-    );
-    let _ = write!(
-        out,
-        "\noverload: {} shed / {} rejected / {} admission timeouts \
-         (per-shard cap {}), breaker: {} trips",
-        agg.shed_ops, agg.rejected_ops, agg.admission_timeout_ops, run.queue_cap, agg.breaker_trips,
-    );
-    for s in &stats.shards {
+    if stats.shards.len() > 1 {
         let _ = write!(
             out,
-            "\nshard {} ({}): {} ops, {} batches, kernel {:.1} µs, \
-             {} shed / {} rejected, {} breaker trips",
-            s.shard,
-            s.device.name,
-            s.stats.ops_enqueued,
-            s.stats.batches,
-            s.stats.kernel_time_ns / 1e3,
-            s.stats.shed_ops,
-            s.stats.rejected_ops,
-            s.stats.breaker_trips,
+            "\nmodeled scale-out {:.1} MOps/s (slowest shard {:.1} µs busy), \
+             {} routed requests",
+            stats.modeled_aggregate_mops(),
+            stats.modeled_time_ns() / 1e3,
+            stats.routed_requests,
         );
-    }
-    spill_serving_outputs(
-        &mut out,
-        &run.telemetry,
-        run.metrics_out,
-        run.trace_out,
-        run.folded_out,
-    )?;
-    Ok(out)
-}
-
-/// Shared serve-sim output tail: the telemetry-feature warning, the JSON
-/// metrics spill and the Chrome-trace / folded-stack exports.
-fn spill_serving_outputs(
-    out: &mut String,
-    telemetry: &Arc<Telemetry>,
-    metrics_out: Option<&Path>,
-    trace_out: Option<&Path>,
-    folded_out: Option<&Path>,
-) -> Result<(), CliError> {
-    if !cfg!(feature = "telemetry") {
-        eprintln!("warning: built without the `telemetry` feature; metrics will be empty");
-    }
-    if let Some(path) = metrics_out {
-        out.push_str(&spill_metrics(telemetry, path)?);
-    }
-    if trace_out.is_some() || folded_out.is_some() {
-        let snap = telemetry.snapshot();
-        if let Some(p) = trace_out {
-            std::fs::write(p, to_chrome_json(&snap.spans))?;
+        for s in &stats.shards {
             let _ = write!(
                 out,
-                "\ntrace -> {} ({} spans)",
-                p.display(),
-                snap.spans.len()
+                "\nshard {} ({}): {} ops, {} batches, kernel {:.1} µs, \
+                 {} shed / {} rejected, {} breaker trips",
+                s.shard,
+                s.device.name,
+                s.stats.ops_enqueued,
+                s.stats.batches,
+                s.stats.kernel_time_ns / 1e3,
+                s.stats.shed_ops,
+                s.stats.rejected_ops,
+                s.stats.breaker_trips,
             );
         }
-        if let Some(p) = folded_out {
-            std::fs::write(p, to_folded(&snap.spans))?;
-            let _ = write!(out, "\nfolded -> {}", p.display());
-        }
     }
-    Ok(())
+    serving.spill(&mut out, &telemetry)?;
+    Ok(out)
 }
 
 /// Keep trickling probe lookups through the scheduler until the circuit
@@ -944,9 +844,7 @@ fn drive_breaker_recovery(
         // Without the `telemetry` feature there are no events to wait on.
         return Ok(());
     }
-    let client = sched
-        .client()
-        .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
+    let client = sched.client().map_err(sched_err)?;
     for _ in 0..500 {
         let recovered = telemetry
             .snapshot()
@@ -959,13 +857,15 @@ fn drive_breaker_recovery(
         // A generous explicit deadline: the drill's tight `--op-deadline-us`
         // default would shed this drive traffic before it reaches the
         // device and the probe window would never see a batch.
-        match client
-            .lookup_with_deadline(vec![stored[0].0.clone()], std::time::Duration::from_secs(5))
-        {
+        let drive = Request {
+            op: Op::Lookup(vec![stored[0].0.clone()]),
+            deadline: Some(Duration::from_secs(5)),
+        };
+        match client.submit(drive) {
             Ok(_) | Err(SchedError::DeadlineExceeded) => {}
             Err(e) => return Err(CliError::Input(format!("recovery drive: {e}"))),
         }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(1));
     }
     Err(CliError::Input(
         "breaker never recovered within the drill budget".into(),
@@ -1183,7 +1083,7 @@ impl NetOptions {
             workers: self.workers.max(1),
             idle_timeout: match self.idle_timeout_ms {
                 0 => None,
-                ms => Some(std::time::Duration::from_millis(ms)),
+                ms => Some(Duration::from_millis(ms)),
             },
             allow_remote_shutdown: self.allow_shutdown,
             ..cuart_net::NetServerConfig::default()
@@ -1193,70 +1093,36 @@ impl NetOptions {
 
 /// Serve a saved index over TCP (`cuart serve INDEX --listen ADDR`): the
 /// binary RPC protocol of [`cuart_net`], backed by the coalescing
-/// scheduler — or, with `--shards`/`--shard-devices`, the sharded fleet.
-/// Blocks until a remote shutdown frame arrives (requires
+/// scheduler — one device, or with `--shards`/`--shard-devices` a sharded
+/// fleet. Blocks until a remote shutdown frame arrives (requires
 /// `--allow-shutdown`) or the process is killed; on a clean drain the
 /// final summary (and `--metrics-out` spill, including the
 /// `cuart.net.*` series and the `cuart.net.drained` gauge) is emitted.
-#[allow(clippy::too_many_arguments)]
 pub fn cmd_serve(
     path: &Path,
     listen: &str,
-    device: &str,
-    deadline_us: u64,
-    batch: usize,
-    unsorted: bool,
-    metrics_out: Option<&Path>,
-    trace_out: Option<&Path>,
-    folded_out: Option<&Path>,
-    faults: Option<FaultOptions>,
-    overload: OverloadOptions,
-    shard: ShardOptions,
+    serving: &ServingArgs,
     net: NetOptions,
 ) -> Result<String, CliError> {
     let index = CuartIndex::load(path)?;
-    let dev = device_by_name(device)?;
-    let devs = shard.resolve(dev)?;
     let telemetry = Arc::new(Telemetry::new());
     let index = Arc::new(index.with_telemetry(telemetry.clone()));
-    if faults.is_some() && !FaultInjector::is_active() {
-        eprintln!(
-            "warning: built without the `faults` feature; \
-             --fault-seed/--fault-rate have no effect"
-        );
-    }
-    let cfg = SchedulerConfig {
-        batch_target: batch.max(1),
-        deadline: std::time::Duration::from_micros(deadline_us),
-        sort_batches: !unsorted,
-        fault_injector: faults.map(|f| FaultInjector::uniform(f.seed, f.rate)),
-        queue_cap: overload.queue_cap,
-        admission: overload.admission,
-        op_deadline: overload
-            .op_deadline_us
-            .map(std::time::Duration::from_micros),
-        breaker: Some(BreakerConfig::default()),
-        shard: None,
-    };
+    let shards = serving.devices()?.len();
     let listener = std::net::TcpListener::bind(listen)
         .map_err(|e| CliError::Input(format!("cannot listen on {listen}: {e}")))?;
-    let net_cfg = net.server_config();
-    let server = if devs.len() > 1 {
-        let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, cfg)
-            .map_err(|e| CliError::Input(format!("scheduler: {e}")))?;
-        cuart_net::NetServer::serve_sharded(listener, sharded, Some(telemetry.clone()), net_cfg)
-    } else {
-        let sched = Scheduler::spawn(Arc::clone(&index), devs[0], cfg);
-        cuart_net::NetServer::serve_single(listener, sched, Some(telemetry.clone()), net_cfg)
-    }
-    .map_err(CliError::Io)?;
+    let sched = serving.spawn(index)?;
+    let server = cuart_net::NetServer::serve_single(
+        listener,
+        sched,
+        Some(telemetry.clone()),
+        net.server_config(),
+    )?;
     let addr = server.local_addr();
     // Liveness line on stderr before blocking, so scripts (and the CI
     // drill) know the listener is up even when stdout is buffered.
     eprintln!(
-        "serving {} on {addr} ({} shard(s), window {}, workers {}/conn{})",
+        "serving {} on {addr} ({shards} shard(s), window {}, workers {}/conn{})",
         path.display(),
-        devs.len(),
         net.window,
         net.workers,
         if net.allow_shutdown {
@@ -1269,7 +1135,7 @@ pub fn cmd_serve(
         .join()
         .map_err(|e| CliError::Input(format!("serve: {e}")))?;
     let mut out = render_net_report(&report, &addr.to_string());
-    spill_serving_outputs(&mut out, &telemetry, metrics_out, trace_out, folded_out)?;
+    serving.spill(&mut out, &telemetry)?;
     Ok(out)
 }
 
@@ -1293,12 +1159,12 @@ fn render_net_report(report: &cuart_net::NetReport, addr: &str) -> String {
         agg.rejected_ops,
         agg.breaker_trips,
     );
-    if let cuart_net::SchedReport::Sharded(s) = &report.sched {
+    if report.sched.shards.len() > 1 {
         let _ = write!(
             out,
             "\nsharded: {} requests routed over {} shard(s)",
-            s.routed_requests,
-            s.shards.len()
+            report.sched.routed_requests,
+            report.sched.shards.len()
         );
     }
     out
@@ -1345,16 +1211,13 @@ pub fn cmd_bench_net(
     let addr = match connect {
         Some(a) => a.to_string(),
         None => {
-            let dev = device_by_name(device)?;
             let index = Arc::new(index.with_telemetry(telemetry.clone()));
-            let cfg = SchedulerConfig {
-                batch_target: req_keys * clients,
-                deadline: std::time::Duration::from_micros(200),
-                sort_batches: true,
-                breaker: Some(BreakerConfig::default()),
-                ..SchedulerConfig::default()
+            let serving = ServingArgs {
+                device: device.to_string(),
+                batch: req_keys * clients,
+                ..ServingArgs::default()
             };
-            let sched = Scheduler::spawn(index, dev, cfg);
+            let sched = serving.spawn(index)?;
             let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
             let server = cuart_net::NetServer::serve_single(
                 listener,
@@ -1379,7 +1242,7 @@ pub fn cmd_bench_net(
                 Ok(c) => return Ok(c),
                 Err(e) => {
                     last = Some(e);
-                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    std::thread::sleep(Duration::from_millis(50));
                 }
             }
         }
@@ -1643,23 +1506,13 @@ mod tests {
         let idx = tmp("serve-idx");
         cmd_build(&keys, &idx, false, 2).unwrap();
         let out_file = tmp("serve-metrics");
-        let out = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            2,
-            200,
-            512,
-            1024,
-            false,
-            false,
-            Some(&out_file),
-            None,
-            None,
-            None,
-            OverloadOptions::default(),
-            ShardOptions::default(),
-        )
-        .unwrap();
+        let serving = ServingArgs {
+            device: "gtx1070".into(),
+            batch: 512,
+            metrics_out: Some(out_file.clone()),
+            ..ServingArgs::default()
+        };
+        let out = cmd_serve_sim(&idx, 2, 1024, &serving).unwrap();
         assert!(out.contains("1024 lookups from 2 producers"), "{out}");
         assert!(out.contains("1024 hits"), "{out}");
         assert!(out.contains("metrics ->"), "{out}");
@@ -1670,23 +1523,14 @@ mod tests {
             assert!(written.contains("cuart.sched.enqueued"), "{written}");
         }
         // The unsorted control also runs.
-        let out = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            1,
-            100,
-            256,
-            256,
-            true,
-            false,
-            None,
-            None,
-            None,
-            None,
-            OverloadOptions::default(),
-            ShardOptions::default(),
-        )
-        .unwrap();
+        let serving = ServingArgs {
+            device: "gtx1070".into(),
+            deadline_us: 100,
+            batch: 256,
+            unsorted: true,
+            ..ServingArgs::default()
+        };
+        let out = cmd_serve_sim(&idx, 1, 256, &serving).unwrap();
         assert!(out.contains("256 lookups from 1 producers"), "{out}");
         for p in [keys, idx, out_file] {
             std::fs::remove_file(p).ok();
@@ -1701,26 +1545,15 @@ mod tests {
         let idx = tmp("sharded-idx");
         cmd_build(&keys, &idx, false, 2).unwrap();
         let out_file = tmp("sharded-metrics");
-        let out = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            2,
-            200,
-            512,
-            2048,
-            false,
-            false,
-            Some(&out_file),
-            None,
-            None,
-            None,
-            OverloadOptions::default(),
-            ShardOptions {
-                shards: 2,
-                devices: Some("rtx3090, gtx1070".into()),
-            },
-        )
-        .unwrap();
+        let serving = ServingArgs {
+            device: "gtx1070".into(),
+            batch: 512,
+            metrics_out: Some(out_file.clone()),
+            shards: 2,
+            shard_devices: Some("rtx3090, gtx1070".into()),
+            ..ServingArgs::default()
+        };
+        let out = cmd_serve_sim(&idx, 2, 2048, &serving).unwrap();
         assert!(
             out.contains("2048 lookups from 2 producers over 2 shards"),
             "{out}"
@@ -1735,25 +1568,14 @@ mod tests {
             assert!(written.contains("cuart.sched.shard.0."), "{written}");
         }
         // Count mismatch between --shards and --shard-devices is refused.
-        let err = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            1,
-            200,
-            512,
-            256,
-            false,
-            false,
-            None,
-            None,
-            None,
-            None,
-            OverloadOptions::default(),
-            ShardOptions {
-                shards: 3,
-                devices: Some("rtx3090,gtx1070".into()),
-            },
-        );
+        let serving = ServingArgs {
+            device: "gtx1070".into(),
+            batch: 512,
+            shards: 3,
+            shard_devices: Some("rtx3090,gtx1070".into()),
+            ..ServingArgs::default()
+        };
+        let err = cmd_serve_sim(&idx, 1, 256, &serving);
         assert!(
             matches!(err, Err(CliError::Input(ref m)) if m.contains("disagrees")),
             "{err:?}"
@@ -1771,32 +1593,21 @@ mod tests {
         let idx = tmp("overload-idx");
         cmd_build(&keys, &idx, false, 2).unwrap();
         let out_file = tmp("overload-metrics");
-        let overload = OverloadOptions {
+        let serving = ServingArgs {
+            device: "gtx1070".into(),
+            batch: 1024,
+            smoke: true, // pinned workload + deterministic fault storm
+            metrics_out: Some(out_file.clone()),
+            faults: Some(FaultOptions {
+                seed: 7,
+                rate: 0.05,
+            }),
             admission: AdmissionPolicy::Reject,
             queue_cap: 4096,
             op_deadline_us: Some(500),
+            ..ServingArgs::default()
         };
-        let faults = Some(FaultOptions {
-            seed: 7,
-            rate: 0.05,
-        });
-        let out = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            4,
-            200,
-            1024,
-            8192,
-            false,
-            true, // smoke: pinned workload + deterministic fault storm
-            Some(&out_file),
-            None,
-            None,
-            faults,
-            overload,
-            ShardOptions::default(),
-        )
-        .unwrap();
+        let out = cmd_serve_sim(&idx, 4, 8192, &serving).unwrap();
         // The deterministic shed probe guarantees a non-zero shed count.
         assert!(out.contains("overload:"), "{out}");
         assert!(!out.contains("overload: 0 shed"), "{out}");
@@ -1851,23 +1662,14 @@ mod tests {
         let idx = tmp("smoke-idx");
         cmd_build(&keys, &idx, false, 2).unwrap();
         let trace = tmp("smoke-trace");
-        let out = cmd_serve_sim(
-            &idx,
-            "gtx1070",
-            2,
-            200,
-            64, // smoke overrides the batch/ops knobs
-            128,
-            false,
-            true,
-            None,
-            Some(&trace),
-            None,
-            None,
-            OverloadOptions::default(),
-            ShardOptions::default(),
-        )
-        .unwrap();
+        let serving = ServingArgs {
+            device: "gtx1070".into(),
+            batch: 64, // smoke overrides the batch/ops knobs
+            smoke: true,
+            trace_out: Some(trace.clone()),
+            ..ServingArgs::default()
+        };
+        let out = cmd_serve_sim(&idx, 2, 128, &serving).unwrap();
         // Smoke mode pins the workload shape regardless of the flags.
         assert!(out.contains("8192 lookups from 2 producers"), "{out}");
         assert!(out.contains("trace ->"), "{out}");
@@ -1970,24 +1772,17 @@ mod tests {
             let addr = addr.clone();
             let spill = spill.clone();
             std::thread::spawn(move || {
-                cmd_serve(
-                    &idx,
-                    &addr,
-                    "gtx1070",
-                    200,
-                    512,
-                    false,
-                    Some(&spill),
-                    None,
-                    None,
-                    None,
-                    OverloadOptions::default(),
-                    ShardOptions::default(),
-                    NetOptions {
-                        allow_shutdown: true,
-                        ..NetOptions::default()
-                    },
-                )
+                let serving = ServingArgs {
+                    device: "gtx1070".into(),
+                    batch: 512,
+                    metrics_out: Some(spill),
+                    ..ServingArgs::default()
+                };
+                let net = NetOptions {
+                    allow_shutdown: true,
+                    ..NetOptions::default()
+                };
+                cmd_serve(&idx, &addr, &serving, net)
             })
         };
         let out = cmd_bench_net(

@@ -224,7 +224,7 @@ impl std::fmt::Display for KernelReport {
     }
 }
 
-/// Launch a single-phase kernel with a cold L2.
+/// Launch a (possibly multi-phase) kernel with a cold L2.
 pub fn launch<K: PhasedKernel>(
     dev: &DeviceConfig,
     mem: &mut DeviceMemory,
@@ -233,16 +233,6 @@ pub fn launch<K: PhasedKernel>(
 ) -> KernelReport {
     let mut l2 = Cache::new(&dev.l2);
     launch_with_cache(dev, mem, kernel, threads, &mut l2)
-}
-
-/// Launch a (possibly multi-phase) kernel with a cold L2.
-pub fn launch_phased<K: PhasedKernel>(
-    dev: &DeviceConfig,
-    mem: &mut DeviceMemory,
-    kernel: &K,
-    threads: usize,
-) -> KernelReport {
-    launch(dev, mem, kernel, threads)
 }
 
 /// Launch with a caller-owned L2, so cache state persists across batches

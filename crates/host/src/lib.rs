@@ -17,13 +17,12 @@
 //!   device memory, partitioned by key range with access-driven migration
 //!   between device and host,
 //! * [`scheduler`] — the concurrent serving layer: N producer threads
-//!   submit point ops through an MPSC queue; an executor thread coalesces
-//!   them into adaptive batches (size target or deadline), sorts each
-//!   batch for locality and inverts the permutation on return,
-//! * [`sharded`] — the multi-device scale-out layer: one scheduler per
-//!   simulated device, key space partitioned by the §3.3 LUT prefix, with
-//!   concurrent split/dispatch/merge routing and per-shard overload
-//!   isolation.
+//!   submit requests through bounded MPSC queues; one executor thread per
+//!   simulated device coalesces them into adaptive batches (size target
+//!   or deadline), sorts each batch for locality and inverts the
+//!   permutation on return. With several devices the key space is
+//!   partitioned by the §3.3 LUT prefix, with concurrent
+//!   split/dispatch/merge routing and per-shard overload isolation.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,11 +32,10 @@ pub mod gpu_runner;
 pub mod hybrid;
 pub mod oversized;
 pub mod scheduler;
-pub mod sharded;
 
 pub use gpu_runner::{E2eReport, Engine, RunConfig};
 pub use hybrid::HybridReport;
 pub use scheduler::{
-    RangeRows, SchedError, Scheduler, SchedulerClient, SchedulerConfig, SchedulerStats,
+    Answer, Op, RangeRows, Request, SchedError, Scheduler, SchedulerClient, SchedulerConfig,
+    SchedulerStats, ShardStats, ShardedStats,
 };
-pub use sharded::{ShardStats, ShardedClient, ShardedScheduler, ShardedStats};

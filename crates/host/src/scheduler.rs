@@ -1,11 +1,12 @@
-//! Concurrent batch scheduler with sorted-batch execution and overload
-//! protection.
+//! Concurrent batch scheduler with sorted-batch execution, overload
+//! protection and multi-device sharding.
 //!
 //! The paper's end-to-end numbers assume an *upstream* component that turns
 //! a stream of point operations into device-sized batches (§4.1 "batching
 //! on the host"). This module is that component: N producer threads submit
-//! point lookups / updates / inserts through a cloneable
-//! [`SchedulerClient`]; a single executor thread owns the
+//! [`Request`]s — point lookups / updates / inserts or range queries, each
+//! with an optional latency budget — through a cloneable
+//! [`SchedulerClient`]; one executor thread per device owns a
 //! [`CuartSession`](cuart::CuartSession) and coalesces submissions into
 //! adaptive batches that flush when either
 //!
@@ -15,9 +16,8 @@
 //!   [`SchedulerConfig::deadline`] (**deadline flush**), or
 //! * the scheduler shuts down with work still queued (**final flush**).
 //!
-//! Before dispatch the batch keys are **sorted** (stable, via
-//! [`sort_permutation`]) so that adjacent kernel lanes traverse neighboring
-//! tree paths — the coalescing win §3.1 argues for — and the **inverse
+//! Before dispatch point-op batches are **sorted** by key (stably) so that
+//! adjacent kernel lanes traverse neighboring tree paths — the coalescing win §3.1 argues for — and the **inverse
 //! permutation** is applied on return so every caller sees results in its
 //! own submission order. Stability preserves last-write-wins semantics for
 //! duplicate update keys.
@@ -27,6 +27,26 @@
 //! leading lookups as one batch, then the following updates as one batch,
 //! …), so an update submitted before a lookup by the same producer is
 //! applied before that lookup executes.
+//!
+//! # Sharding
+//!
+//! [`Scheduler::spawn`] serves from one device; [`Scheduler::spawn_fleet`]
+//! opens one executor per entry of a [`DeviceConfig`] slice — homogeneous
+//! (4× RTX 3090) or mixed (2× RTX 3090 + 2× GTX 1070) — each with its own
+//! session, submission queue, admission cap and circuit breaker, so one
+//! sick shard sheds or degrades alone. Clients look the same either way:
+//!
+//! * With one shard a request goes straight to its executor.
+//! * With more, the [`ShardRouter`] partitions the key space by the leading
+//!   key bytes — the same big-endian prefix the §3.3 compacted root indexes
+//!   its LUT with — so every key maps to exactly one shard (last-write-wins
+//!   per key, §3.4, holds fleet-wide). A request is split by shard (stable,
+//!   so intra-request order survives; a range goes to every shard its
+//!   bounds span), the parts are dispatched **concurrently**, and the
+//!   answers are merged back in arrival order. Each shard mirrors its
+//!   counters and gauges to `cuart.sched.shard.<i>.*` (summing to the
+//!   global `cuart.sched.*` totals), and every routed call commits a
+//!   standalone `sched.route` span.
 //!
 //! # Overload protection
 //!
@@ -40,11 +60,10 @@
 //!   `BlockWithTimeout` ([`SchedError::AdmissionTimeout`]) or `Reject`
 //!   ([`SchedError::QueueFull`]).
 //! * **Deadline shedding** — every request can carry a latency budget
-//!   ([`SchedulerClient::lookup_with_deadline`] and friends, or the
-//!   [`SchedulerConfig::op_deadline`] default). Expired requests are shed
-//!   at coalesce time — before sorting and dispatch — and answered with
-//!   [`SchedError::DeadlineExceeded`], so one slow batch cannot cascade
-//!   into queue-wide lateness.
+//!   ([`Request::deadline`], or the [`SchedulerConfig::op_deadline`]
+//!   default). Expired requests are shed at coalesce time — before sorting
+//!   and dispatch — and answered with [`SchedError::DeadlineExceeded`], so
+//!   one slow batch cannot cascade into queue-wide lateness.
 //! * **Circuit breaker** — sustained device faults (or a p99 modeled-latency
 //!   SLO violation) trip the executor from `Closed` to `Open`: the session
 //!   is pinned to the authoritative CPU path (PR-2 degradation, but held at
@@ -57,12 +76,12 @@
 //!   2 = Open) and the `cuart.sched.{breaker_trips,probe_batches}`
 //!   counters.
 //!
-//! Everything here is `std`-only: a `Mutex` + two `Condvar`s for the
+//! Everything here is `std`-only: a `Mutex` + two `Condvar`s for each
 //! bounded submission queue, `std::sync::mpsc` for per-request replies,
-//! `std::thread` for the executor.
+//! `std::thread` for the executors and the routed fan-out.
 
-use cuart::{CuartError, CuartIndex};
-use cuart_gpu_sim::batch::{gather, scatter_inverse, sort_permutation};
+use cuart::{CuartError, CuartIndex, ShardRouter};
+use cuart_gpu_sim::batch::{gather, scatter_inverse};
 use cuart_gpu_sim::exec::KernelReport;
 use cuart_gpu_sim::{DeviceConfig, FaultInjector};
 use cuart_telemetry::{names, BatchEvent, BatchKind, SpanNode, Telemetry};
@@ -137,11 +156,11 @@ pub struct SchedulerConfig {
     /// Optional fault injector attached to the executor's session at open
     /// time (so the journal covers the whole scheduler lifetime).
     pub fault_injector: Option<FaultInjector>,
-    /// Maximum *resident* operations — queued plus coalesced but not yet
-    /// dispatched or shed. `0` means unbounded (the pre-overload-protection
-    /// behavior). A single request larger than the cap can never be
-    /// admitted and fails with [`SchedError::QueueFull`] under every
-    /// policy.
+    /// Maximum *resident* operations per shard — queued plus coalesced
+    /// but not yet dispatched or shed. `0` means unbounded (the
+    /// pre-overload-protection behavior). A single request larger than
+    /// the cap can never be admitted and fails with
+    /// [`SchedError::QueueFull`] under every policy.
     pub queue_cap: usize,
     /// What producers experience when the queue is at `queue_cap`.
     pub admission: AdmissionPolicy,
@@ -152,13 +171,6 @@ pub struct SchedulerConfig {
     pub op_deadline: Option<Duration>,
     /// Circuit-breaker configuration; `None` disables the breaker.
     pub breaker: Option<BreakerConfig>,
-    /// When this scheduler runs as one shard of a
-    /// [`ShardedScheduler`](crate::sharded::ShardedScheduler), its shard
-    /// index. Every counter and gauge is then mirrored to the
-    /// `cuart.sched.shard.<i>.*` twin series (the global `cuart.sched.*`
-    /// series are still written, so per-shard twins sum to the global
-    /// totals). `None` — the default — writes global series only.
-    pub shard: Option<usize>,
 }
 
 impl Default for SchedulerConfig {
@@ -172,7 +184,6 @@ impl Default for SchedulerConfig {
             admission: AdmissionPolicy::Block,
             op_deadline: None,
             breaker: Some(BreakerConfig::default()),
-            shard: None,
         }
     }
 }
@@ -251,10 +262,10 @@ pub enum SchedError {
     /// The executor thread panicked; carries the panic payload.
     ExecutorPanicked(String),
     /// The session failed the batch with a non-transient error. Carries
-    /// the rendered [`CuartError`](cuart::CuartError).
+    /// the rendered [`CuartError`].
     Session(String),
-    /// A [`ShardedScheduler`](crate::sharded::ShardedScheduler) was asked
-    /// to spawn over an empty device list.
+    /// [`Scheduler::spawn_fleet`] was asked to spawn over an empty device
+    /// list.
     NoShards,
 }
 
@@ -268,7 +279,7 @@ impl fmt::Display for SchedError {
             SchedError::DeadlineExceeded => write!(f, "operation deadline exceeded"),
             SchedError::ExecutorPanicked(m) => write!(f, "executor panicked: {m}"),
             SchedError::Session(e) => write!(f, "session error: {e}"),
-            SchedError::NoShards => write!(f, "sharded scheduler needs at least one device"),
+            SchedError::NoShards => write!(f, "scheduler fleet needs at least one device"),
         }
     }
 }
@@ -281,50 +292,166 @@ impl From<&CuartError> for SchedError {
     }
 }
 
-/// Operation kind of one queued request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Lookup,
-    Update,
-    Insert,
-    Range,
-}
-
 /// The rows of one inclusive range query: `(key, value)` pairs sorted by
 /// key.
 pub type RangeRows = Vec<(Vec<u8>, u64)>;
 
-/// Where one request's results go back: point ops reply with one `u64`
-/// per key, range ops with one row list per `[lo, hi]` pair.
-enum Reply {
-    Values(SyncSender<Result<Vec<u64>, SchedError>>),
-    Rows(SyncSender<Result<Vec<RangeRows>, SchedError>>),
+/// The operations of one client call, all of one kind.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Op {
+    /// Point lookups; answered with one value per key
+    /// ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent keys).
+    Lookup(Vec<Vec<u8>>),
+    /// Point updates (`DELETE` as the value deletes); answered with one
+    /// status per op (see [`status`](cuart::update::status)).
+    Update(Vec<(Vec<u8>, u64)>),
+    /// Point inserts; answered with one status per op (see
+    /// [`insert_status`](cuart::insert::insert_status)).
+    Insert(Vec<(Vec<u8>, u64)>),
+    /// Inclusive `[lo, hi]` range queries; answered with every live row
+    /// of each range, sorted by key (see
+    /// [`CuartSession::range_batch`](cuart::CuartSession::range_batch)).
+    /// Inverted ranges return no rows. Each range counts as one resident
+    /// op for admission purposes.
+    Range(Vec<(Vec<u8>, Vec<u8>)>),
 }
 
-impl Reply {
-    /// Fail the request, whichever shape it expects.
-    fn send_err(&self, e: SchedError) {
+impl Op {
+    /// Operation count: keys, or `[lo, hi]` pairs.
+    fn len(&self) -> usize {
         match self {
-            Reply::Values(s) => {
-                let _ = s.send(Err(e));
+            Op::Lookup(keys) => keys.len(),
+            Op::Update(ops) | Op::Insert(ops) => ops.len(),
+            Op::Range(ranges) => ranges.len(),
+        }
+    }
+
+    /// The `[lo, hi]` key span of each operation (`lo == hi` for point
+    /// ops).
+    fn spans(&self) -> Vec<(&[u8], &[u8])> {
+        match self {
+            Op::Lookup(keys) => keys.iter().map(|k| (&k[..], &k[..])).collect(),
+            Op::Update(ops) | Op::Insert(ops) => {
+                ops.iter().map(|(k, _)| (&k[..], &k[..])).collect()
             }
-            Reply::Rows(s) => {
-                let _ = s.send(Err(e));
-            }
+            Op::Range(ranges) => ranges.iter().map(|(lo, hi)| (&lo[..], &hi[..])).collect(),
+        }
+    }
+
+    /// The operations at positions `list`, in that order.
+    fn pick(&self, list: &[usize]) -> Op {
+        match self {
+            Op::Lookup(keys) => Op::Lookup(gather(keys, list)),
+            Op::Update(ops) => Op::Update(gather(ops, list)),
+            Op::Insert(ops) => Op::Insert(gather(ops, list)),
+            Op::Range(ranges) => Op::Range(gather(ranges, list)),
+        }
+    }
+
+    /// Append `other`, which has the same kind (head runs are same-kind
+    /// by construction).
+    fn append(&mut self, other: Op) {
+        match (self, other) {
+            (Op::Lookup(a), Op::Lookup(b)) => a.extend(b),
+            (Op::Update(a), Op::Update(b)) | (Op::Insert(a), Op::Insert(b)) => a.extend(b),
+            (Op::Range(a), Op::Range(b)) => a.extend(b),
+            _ => {}
+        }
+    }
+
+    /// Stably sort point ops by key and return the permutation applied;
+    /// ranges keep arrival order (their rows come back sorted per range).
+    fn sort(&mut self) -> Option<Vec<usize>> {
+        fn by_key<T: Clone>(items: &mut Vec<T>, key: impl Fn(&T) -> &[u8]) -> Vec<usize> {
+            let mut perm: Vec<usize> = (0..items.len()).collect();
+            perm.sort_by(|&a, &b| key(&items[a]).cmp(key(&items[b])));
+            *items = gather(items, &perm);
+            perm
+        }
+        match self {
+            Op::Lookup(keys) => Some(by_key(keys, |k| &k[..])),
+            Op::Update(ops) | Op::Insert(ops) => Some(by_key(ops, |(k, _)| &k[..])),
+            Op::Range(_) => None,
+        }
+    }
+
+    /// An answer of this op's shape with a default entry per operation.
+    fn blank_answer(&self) -> Answer {
+        match self {
+            Op::Range(ranges) => Answer::Rows(vec![Vec::new(); ranges.len()]),
+            _ => Answer::Values(vec![0; self.len()]),
         }
     }
 }
 
-/// One queued submission: a slice of same-kind point ops (or range
-/// queries) from one client call, plus the channel its results go back on.
-struct Request {
-    kind: OpKind,
-    /// Point-op keys, or the `lo` bounds of range queries.
-    keys: Vec<Vec<u8>>,
-    /// One `hi` bound per key for ranges; empty for point ops.
-    his: Vec<Vec<u8>>,
-    /// One value per key for updates/inserts; empty otherwise.
-    values: Vec<u64>,
+/// One client call: an [`Op`] plus an optional latency budget. A request
+/// still waiting for coalescing when its budget (or, without one, the
+/// [`SchedulerConfig::op_deadline`] default) expires is shed with
+/// [`SchedError::DeadlineExceeded`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Request {
+    /// The operations.
+    pub op: Op,
+    /// Latency budget from submission; `None` uses the config default.
+    pub deadline: Option<Duration>,
+}
+
+impl From<Op> for Request {
+    fn from(op: Op) -> Request {
+        Request { op, deadline: None }
+    }
+}
+
+/// The answer to one [`Request`], in submission order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Answer {
+    /// One value or status per point op.
+    Values(Vec<u64>),
+    /// One row list per range.
+    Rows(Vec<RangeRows>),
+}
+
+impl Answer {
+    /// The values of a point-op answer.
+    fn values(self) -> Result<Vec<u64>, SchedError> {
+        match self {
+            Answer::Values(v) => Ok(v),
+            Answer::Rows(_) => Err(SchedError::Session("range rows for a point op".into())),
+        }
+    }
+
+    /// The row lists of a range answer.
+    fn rows(self) -> Result<Vec<RangeRows>, SchedError> {
+        match self {
+            Answer::Rows(r) => Ok(r),
+            Answer::Values(_) => Err(SchedError::Session("point values for a range op".into())),
+        }
+    }
+
+    /// Cut a batch answer into consecutive per-request answers of
+    /// `extents` entries each.
+    fn split(self, extents: &[usize]) -> Vec<Answer> {
+        fn cut<T>(items: Vec<T>, extents: &[usize]) -> Vec<Vec<T>> {
+            let mut it = items.into_iter();
+            extents
+                .iter()
+                .map(|&n| it.by_ref().take(n).collect())
+                .collect()
+        }
+        match self {
+            Answer::Values(v) => cut(v, extents).into_iter().map(Answer::Values).collect(),
+            Answer::Rows(r) => cut(r, extents).into_iter().map(Answer::Rows).collect(),
+        }
+    }
+}
+
+/// Where one queued request's answer goes back.
+type Reply = SyncSender<Result<Answer, SchedError>>;
+
+/// One queued submission: one client call's operations (or one shard's
+/// share of them), plus the channel its answer goes back on.
+struct Job {
+    op: Op,
     reply: Reply,
     enqueued: Instant,
     /// Shed (with `DeadlineExceeded`) if still undispatched past this.
@@ -333,7 +460,7 @@ struct Request {
 
 /// Mutex-guarded state of the bounded submission queue.
 struct QueueInner {
-    queue: VecDeque<Request>,
+    queue: VecDeque<Job>,
     /// Ops admitted but not yet dispatched or shed. This counts the
     /// executor's coalescing buffer too, so the cap bounds the whole
     /// backlog, not just the channel.
@@ -367,7 +494,7 @@ struct SubmissionQueue {
 /// Outcome of one executor [`SubmissionQueue::pop`].
 enum Pop {
     /// A request, FIFO.
-    Got(Request),
+    Got(Job),
     /// The wake deadline passed with the queue still empty.
     TimedOut,
     /// Closed and fully drained: the executor can exit.
@@ -403,8 +530,8 @@ impl SubmissionQueue {
     }
 
     /// Admit one request under the cap, or fail per `policy`.
-    fn push(&self, req: Request, policy: AdmissionPolicy) -> Result<(), SchedError> {
-        let ops = req.keys.len();
+    fn push(&self, job: Job, policy: AdmissionPolicy) -> Result<(), SchedError> {
+        let ops = job.op.len();
         if self.cap > 0 && ops > self.cap {
             // Larger than the whole queue: no amount of waiting helps.
             self.note_rejected(ops);
@@ -423,7 +550,7 @@ impl SubmissionQueue {
                 inner.resident_ops = inner.resident_ops.saturating_add(ops);
                 self.max_resident_ops
                     .fetch_max(inner.resident_ops as u64, Ordering::Relaxed);
-                inner.queue.push_back(req);
+                inner.queue.push_back(job);
                 drop(inner);
                 self.work.notify_one();
                 return Ok(());
@@ -462,8 +589,8 @@ impl SubmissionQueue {
     fn pop(&self, wake: Option<Instant>) -> Pop {
         let mut inner = self.lock();
         loop {
-            if let Some(req) = inner.queue.pop_front() {
-                return Pop::Got(req);
+            if let Some(job) = inner.queue.pop_front() {
+                return Pop::Got(job);
             }
             if inner.closed {
                 return Pop::Closed;
@@ -511,7 +638,7 @@ impl SubmissionQueue {
     /// queued — each dropped `reply` sender fails its producer's `recv`
     /// with [`SchedError::Disconnected`] — and wake every waiter.
     fn abort(&self) {
-        let orphans: Vec<Request> = {
+        let orphans: Vec<Job> = {
             let mut inner = self.lock();
             inner.closed = true;
             inner.aborted = true;
@@ -629,86 +756,267 @@ impl SchedulerStats {
     }
 }
 
+/// One shard's share of a [`ShardedStats`].
+#[derive(Debug, Clone)]
+pub struct ShardStats {
+    /// Shard index (position in the spawn-time device slice).
+    pub shard: usize,
+    /// The device this shard served from.
+    pub device: DeviceConfig,
+    /// The shard executor's own counters.
+    pub stats: SchedulerStats,
+}
+
+impl ShardStats {
+    /// Modeled busy time of this shard: kernel time plus one launch
+    /// overhead per dispatched batch (the fig19 convention).
+    pub fn modeled_time_ns(&self) -> f64 {
+        self.stats.kernel_time_ns
+            + self.stats.batches as f64 * self.device.launch_overhead_us * 1_000.0
+    }
+}
+
+/// Per-shard and router-level stats returned by [`Scheduler::join`].
+#[derive(Debug, Clone, Default)]
+pub struct ShardedStats {
+    /// One entry per shard, in shard order.
+    pub shards: Vec<ShardStats>,
+    /// Client calls routed through the split/merge path (0 with one
+    /// shard, which is never routed).
+    pub routed_requests: u64,
+    /// Operations routed through the split/merge path.
+    pub routed_keys: u64,
+}
+
+impl ShardedStats {
+    /// Field-wise sum of the per-shard counters (maxima for the `max_*`
+    /// watermarks, which are per-queue quantities).
+    pub fn aggregate(&self) -> SchedulerStats {
+        let mut agg = SchedulerStats::default();
+        for s in &self.shards {
+            let st = &s.stats;
+            agg.ops_enqueued = agg.ops_enqueued.saturating_add(st.ops_enqueued);
+            agg.requests += st.requests;
+            agg.batches = agg.batches.saturating_add(st.batches);
+            agg.sorted_batches = agg.sorted_batches.saturating_add(st.sorted_batches);
+            agg.size_flushes += st.size_flushes;
+            agg.deadline_flushes += st.deadline_flushes;
+            agg.final_flushes += st.final_flushes;
+            agg.keys_dispatched = agg.keys_dispatched.saturating_add(st.keys_dispatched);
+            agg.max_queue_depth = agg.max_queue_depth.max(st.max_queue_depth);
+            agg.kernel_time_ns += st.kernel_time_ns; // cuart-allow: arith-overflow f64 accumulator; float addition cannot wrap
+            agg.l2_hits = agg.l2_hits.saturating_add(st.l2_hits);
+            agg.sectors = agg.sectors.saturating_add(st.sectors);
+            agg.dram_transactions = agg.dram_transactions.saturating_add(st.dram_transactions);
+            agg.raw_accesses = agg.raw_accesses.saturating_add(st.raw_accesses);
+            agg.failed_batches = agg.failed_batches.saturating_add(st.failed_batches);
+            agg.shed_ops = agg.shed_ops.saturating_add(st.shed_ops);
+            agg.rejected_ops = agg.rejected_ops.saturating_add(st.rejected_ops);
+            agg.admission_timeout_ops = agg
+                .admission_timeout_ops
+                .saturating_add(st.admission_timeout_ops);
+            agg.max_resident_ops = agg.max_resident_ops.max(st.max_resident_ops);
+            agg.breaker_trips = agg.breaker_trips.saturating_add(st.breaker_trips);
+            agg.probe_batches = agg.probe_batches.saturating_add(st.probe_batches);
+            agg.breaker_open_batches = agg
+                .breaker_open_batches
+                .saturating_add(st.breaker_open_batches);
+        }
+        agg
+    }
+
+    /// Modeled wall time of the run: shards execute concurrently on
+    /// separate devices, so the fleet finishes with its slowest shard.
+    pub fn modeled_time_ns(&self) -> f64 {
+        self.shards
+            .iter()
+            .map(ShardStats::modeled_time_ns)
+            .fold(0.0, f64::max)
+    }
+
+    /// Modeled aggregate lookup/update throughput in MOps/s: total keys
+    /// dispatched over the slowest shard's modeled busy time.
+    pub fn modeled_aggregate_mops(&self) -> f64 {
+        let keys: u64 = self.shards.iter().map(|s| s.stats.keys_dispatched).sum();
+        let wall = self.modeled_time_ns();
+        if wall <= 0.0 {
+            0.0
+        } else {
+            keys as f64 * 1_000.0 / wall
+        }
+    }
+}
+
+/// Modeled host cost of routing one key to its shard (a fixed-width
+/// prefix load and one multiply — cheaper than the coalesce copy).
+const ROUTE_NS_PER_KEY: u64 = 2;
+
+/// Shared router-side accounting, folded into [`ShardedStats`] at join.
+#[derive(Default)]
+struct RouteCounters {
+    requests: AtomicU64,
+    keys: AtomicU64,
+}
+
 /// Cloneable producer-side handle. Each call blocks until its batch has
 /// executed (or it is refused/shed) and returns results in the caller's
 /// submission order.
 #[derive(Clone)]
 pub struct SchedulerClient {
-    queue: Arc<SubmissionQueue>,
+    /// One submission queue per shard.
+    queues: Vec<Arc<SubmissionQueue>>,
+    router: ShardRouter,
+    telemetry: Option<Arc<Telemetry>>,
+    route: Arc<RouteCounters>,
     admission: AdmissionPolicy,
     default_deadline: Option<Duration>,
 }
 
 impl SchedulerClient {
-    fn submit(
-        &self,
-        kind: OpKind,
-        keys: Vec<Vec<u8>>,
-        values: Vec<u64>,
-        budget: Option<Duration>,
-    ) -> Result<Vec<u64>, SchedError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
+    /// Submit one request and block until it is answered: executed,
+    /// refused at admission, shed past its deadline, or failed.
+    ///
+    /// With several shards the request is split by owning shard and the
+    /// parts go out concurrently. If any shard refuses or fails its part,
+    /// the call returns that shard's error (lowest shard index wins);
+    /// parts already accepted by healthy shards still execute —
+    /// per-shard at-most-once, exactly as if the shards had been called
+    /// individually.
+    pub fn submit(&self, req: Request) -> Result<Answer, SchedError> {
+        if req.op.len() == 0 {
+            return Ok(req.op.blank_answer());
         }
-        let now = Instant::now();
-        let deadline = budget.or(self.default_deadline).map(|d| now + d);
+        let deadline = req
+            .deadline
+            .or(self.default_deadline)
+            .map(|d| Instant::now() + d);
+        match &self.queues[..] {
+            [queue] => self.enqueue(queue, req.op, deadline),
+            _ => self.route(req.op, deadline),
+        }
+    }
+
+    /// Queue `op` on one shard and wait for its answer.
+    fn enqueue(
+        &self,
+        queue: &SubmissionQueue,
+        op: Op,
+        deadline: Option<Instant>,
+    ) -> Result<Answer, SchedError> {
         // Rendezvous channel: the executor's send never blocks (buffer 1),
         // and a dead executor surfaces as recv's Err.
-        let (reply, result) = mpsc::sync_channel(1);
-        let req = Request {
-            kind,
-            keys,
-            his: Vec::new(),
-            values,
-            reply: Reply::Values(reply),
-            enqueued: now,
+        let (reply, answer) = mpsc::sync_channel(1);
+        let job = Job {
+            op,
+            reply,
+            enqueued: Instant::now(),
             deadline,
         };
-        self.queue.push(req, self.admission)?;
-        result.recv().map_err(|_| SchedError::Disconnected)?
+        queue.push(job, self.admission)?;
+        answer.recv().map_err(|_| SchedError::Disconnected)?
     }
 
-    fn submit_range(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        budget: Option<Duration>,
-    ) -> Result<Vec<RangeRows>, SchedError> {
-        if ranges.is_empty() {
-            return Ok(Vec::new());
+    /// Split → dispatch → merge over several shards. Sub-requests go out
+    /// concurrently (scoped threads — every enqueue blocks until its batch
+    /// executes) and the answers are scattered back through the recorded
+    /// index lists, an inverse permutation over the split.
+    fn route(&self, op: Op, deadline: Option<Instant>) -> Result<Answer, SchedError> {
+        let total = op.len();
+        // Which operations touch each shard: a point op exactly one, a
+        // range every shard from `shard_of(lo)` to `shard_of(hi)`, an
+        // inverted range none.
+        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); self.queues.len()];
+        for (i, (lo, hi)) in op.spans().into_iter().enumerate() {
+            if lo > hi {
+                continue;
+            }
+            for list in lists
+                .iter_mut()
+                .take(self.router.shard_of(hi) + 1)
+                .skip(self.router.shard_of(lo))
+            {
+                list.push(i);
+            }
         }
-        let now = Instant::now();
-        let deadline = budget.or(self.default_deadline).map(|d| now + d);
-        let (keys, his) = split_ops_keyed(ranges);
-        let (reply, result) = mpsc::sync_channel(1);
-        let req = Request {
-            kind: OpKind::Range,
-            keys,
-            his,
-            values: Vec::new(),
-            reply: Reply::Rows(reply),
-            enqueued: now,
-            deadline,
+        let active = lists.iter().filter(|l| !l.is_empty()).count();
+        self.route.requests.fetch_add(1, Ordering::Relaxed);
+        self.route.keys.fetch_add(total as u64, Ordering::Relaxed);
+        if let Some(t) = &self.telemetry {
+            t.incr(names::SCHED_ROUTED_REQUESTS, 1);
+            t.incr(names::SCHED_ROUTED_KEYS, total as u64);
+            // Standalone root (like `sched.shed`): routing has no device
+            // leg, so the batch-root leaf-sum invariant does not apply.
+            let span = SpanNode::leaf(names::spans::SCHED_ROUTE, ROUTE_NS_PER_KEY * total as u64)
+                .with_attr("keys", total)
+                .with_attr("shards", active);
+            t.record_span_tree(&span);
+        }
+
+        let parts: Vec<(usize, Op)> = lists
+            .iter()
+            .enumerate()
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(shard, list)| (shard, op.pick(list)))
+            .collect();
+        let call = |shard: usize, part: Op| self.enqueue(&self.queues[shard], part, deadline);
+        let outcomes: Vec<(usize, Result<Answer, SchedError>)> = if parts.len() == 1 {
+            // One busy shard: no reason to pay a thread spawn.
+            parts
+                .into_iter()
+                .map(|(s, part)| (s, call(s, part)))
+                .collect()
+        } else {
+            std::thread::scope(|scope| {
+                let call = &call;
+                let handles: Vec<_> = parts
+                    .into_iter()
+                    .map(|(s, part)| (s, scope.spawn(move || call(s, part))))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|(s, h)| {
+                        let r = h.join().unwrap_or_else(|p| {
+                            Err(SchedError::ExecutorPanicked(format!(
+                                "shard {s} dispatch panicked: {p:?}"
+                            )))
+                        });
+                        (s, r)
+                    })
+                    .collect()
+            })
         };
-        self.queue.push(req, self.admission)?;
-        result.recv().map_err(|_| SchedError::Disconnected)?
+
+        // Shards ascending == key order (the router is monotone), so
+        // extending per original range keeps each row list sorted.
+        let mut merged = op.blank_answer();
+        for (shard, outcome) in outcomes {
+            match (&mut merged, outcome?) {
+                (Answer::Values(all), Answer::Values(part)) => {
+                    for (&i, v) in lists[shard].iter().zip(part) {
+                        all[i] = v;
+                    }
+                }
+                // A shard's journal and overflow are authoritative only
+                // for the keys it owns, so each share is filtered to them.
+                (Answer::Rows(all), Answer::Rows(part)) => {
+                    for (&i, rows) in lists[shard].iter().zip(part) {
+                        all[i].extend(
+                            rows.into_iter()
+                                .filter(|(k, _)| self.router.shard_of(k) == shard),
+                        );
+                    }
+                }
+                // Every part is answered in its request's shape.
+                _ => {}
+            }
+        }
+        Ok(merged)
     }
 
-    /// Submit a slice of point lookups; blocks until the batch containing
-    /// them executes. Returns one result per key in submission order
+    /// Submit point lookups; one result per key in submission order
     /// ([`NOT_FOUND`](cuart_gpu_sim::batch::NOT_FOUND) for absent keys).
     pub fn lookup(&self, keys: Vec<Vec<u8>>) -> Result<Vec<u64>, SchedError> {
-        self.submit(OpKind::Lookup, keys, Vec::new(), None)
-    }
-
-    /// [`lookup`](Self::lookup) with an explicit latency budget: if the
-    /// request is still waiting for coalescing when the budget expires it
-    /// is shed with [`SchedError::DeadlineExceeded`].
-    pub fn lookup_with_deadline(
-        &self,
-        keys: Vec<Vec<u8>>,
-        budget: Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        self.submit(OpKind::Lookup, keys, Vec::new(), Some(budget))
+        self.submit(Op::Lookup(keys).into())?.values()
     }
 
     /// Submit one point lookup.
@@ -716,106 +1024,117 @@ impl SchedulerClient {
         Ok(self.lookup(vec![key])?[0])
     }
 
-    /// Submit point updates (`DELETE` as the value deletes). Returns one
-    /// status per op (see [`status`](cuart::update::status)).
+    /// Submit point updates; one status per op (see [`Op::Update`]).
     pub fn update(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = split_ops(ops);
-        self.submit(OpKind::Update, keys, values, None)
+        self.submit(Op::Update(ops).into())?.values()
     }
 
-    /// [`update`](Self::update) with an explicit latency budget.
-    pub fn update_with_deadline(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = split_ops(ops);
-        self.submit(OpKind::Update, keys, values, Some(budget))
-    }
-
-    /// Submit point inserts. Returns one status per op (see
-    /// [`insert_status`](cuart::insert::insert_status)).
+    /// Submit point inserts; one status per op (see [`Op::Insert`]).
     pub fn insert(&self, ops: Vec<(Vec<u8>, u64)>) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = split_ops(ops);
-        self.submit(OpKind::Insert, keys, values, None)
+        self.submit(Op::Insert(ops).into())?.values()
     }
 
-    /// [`insert`](Self::insert) with an explicit latency budget.
-    pub fn insert_with_deadline(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: Duration,
-    ) -> Result<Vec<u64>, SchedError> {
-        let (keys, values) = split_ops(ops);
-        self.submit(OpKind::Insert, keys, values, Some(budget))
-    }
-
-    /// Submit inclusive range queries. Returns, per `[lo, hi]` pair and in
-    /// submission order, every live `(key, value)` row in the range sorted
-    /// by key (see [`CuartSession::range_batch`](cuart::CuartSession::range_batch)).
-    /// Inverted or empty ranges return empty row lists. Each range counts
-    /// as one resident op for admission purposes.
+    /// Submit inclusive range queries; one sorted row list per `[lo, hi]`
+    /// pair in submission order (see [`Op::Range`]).
     pub fn range(&self, ranges: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<RangeRows>, SchedError> {
-        self.submit_range(ranges, None)
-    }
-
-    /// [`range`](Self::range) with an explicit latency budget.
-    pub fn range_with_deadline(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        budget: Duration,
-    ) -> Result<Vec<RangeRows>, SchedError> {
-        self.submit_range(ranges, Some(budget))
+        self.submit(Op::Range(ranges).into())?.rows()
     }
 }
 
-fn split_ops(ops: Vec<(Vec<u8>, u64)>) -> (Vec<Vec<u8>>, Vec<u64>) {
-    let mut keys = Vec::with_capacity(ops.len());
-    let mut values = Vec::with_capacity(ops.len());
-    for (k, v) in ops {
-        keys.push(k);
-        values.push(v);
-    }
-    (keys, values)
-}
-
-fn split_ops_keyed(ops: Vec<(Vec<u8>, Vec<u8>)>) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    let mut los = Vec::with_capacity(ops.len());
-    let mut his = Vec::with_capacity(ops.len());
-    for (lo, hi) in ops {
-        los.push(lo);
-        his.push(hi);
-    }
-    (los, his)
-}
-
-/// Owning handle for the executor thread. Dropping it shuts the executor
-/// down; [`join`](Scheduler::join) does the same and returns the stats.
-pub struct Scheduler {
+/// One executor thread and the queue that feeds it.
+struct Shard {
     queue: Arc<SubmissionQueue>,
-    cfg_admission: AdmissionPolicy,
-    cfg_op_deadline: Option<Duration>,
+    device: DeviceConfig,
     handle: Option<JoinHandle<SchedulerStats>>,
 }
 
+impl Shard {
+    /// Wait for the (closed) executor to drain and fold the producer-side
+    /// admission accounting into its stats.
+    fn join(&mut self) -> Result<SchedulerStats, SchedError> {
+        let handle = self.handle.take().ok_or(SchedError::Shutdown)?;
+        let mut stats = handle
+            .join()
+            .map_err(|payload| SchedError::ExecutorPanicked(panic_message(&payload)))?;
+        stats.rejected_ops = self.queue.rejected_ops.load(Ordering::Relaxed);
+        stats.admission_timeout_ops = self.queue.timeout_ops.load(Ordering::Relaxed);
+        stats.max_resident_ops = self.queue.max_resident_ops.load(Ordering::Relaxed);
+        Ok(stats)
+    }
+}
+
+/// Owning handle for the executor threads. Dropping it shuts every
+/// executor down; [`join`](Scheduler::join) does the same and returns the
+/// stats.
+pub struct Scheduler {
+    shards: Vec<Shard>,
+    router: ShardRouter,
+    telemetry: Option<Arc<Telemetry>>,
+    route: Arc<RouteCounters>,
+    admission: AdmissionPolicy,
+    op_deadline: Option<Duration>,
+}
+
 impl Scheduler {
-    /// Spawn the executor thread. It opens a
+    /// Spawn one executor on `dev`. It opens a
     /// [`device_session`](CuartIndex::device_session) on `index` (attaching
     /// `cfg.fault_injector` if present, so the journal covers the session's
     /// whole life) and serves batches until [`join`](Scheduler::join) or
     /// `Drop` shuts it down.
     pub fn spawn(index: Arc<CuartIndex>, dev: DeviceConfig, cfg: SchedulerConfig) -> Scheduler {
-        let telemetry = SchedTelemetry::new(index.telemetry().cloned(), cfg.shard);
-        let queue = SubmissionQueue::new(cfg.queue_cap, telemetry);
-        let cfg_admission = cfg.admission;
-        let cfg_op_deadline = cfg.op_deadline;
-        let exec_queue = Arc::clone(&queue);
-        let handle = std::thread::spawn(move || executor(index, dev, cfg, exec_queue));
+        Self::launch(index, &[dev], cfg)
+    }
+
+    /// Spawn one executor per device in `devices`, all serving `index`,
+    /// with the key space split between them. Shard `i` runs on
+    /// `devices[i]` under a copy of `cfg`; with more than one shard it
+    /// writes the `cuart.sched.shard.<i>.*` telemetry twins and, when a
+    /// fault injector is configured, shard `i > 0` gets a copy re-seeded
+    /// by `i`, so fault streams are independent across shards.
+    pub fn spawn_fleet(
+        index: Arc<CuartIndex>,
+        devices: &[DeviceConfig],
+        cfg: SchedulerConfig,
+    ) -> Result<Scheduler, SchedError> {
+        if devices.is_empty() {
+            return Err(SchedError::NoShards);
+        }
+        Ok(Self::launch(index, devices, cfg))
+    }
+
+    fn launch(index: Arc<CuartIndex>, devices: &[DeviceConfig], cfg: SchedulerConfig) -> Scheduler {
+        let telemetry = index.telemetry().cloned();
+        let fleet = devices.len() > 1;
+        let shards = devices
+            .iter()
+            .enumerate()
+            .map(|(i, &device)| {
+                let mut shard_cfg = cfg.clone();
+                if let Some(inj) = cfg.fault_injector.as_ref().filter(|_| i > 0) {
+                    let mut fc = inj.config().clone();
+                    fc.seed = fc.seed.wrapping_add(i as u64);
+                    shard_cfg.fault_injector = Some(FaultInjector::new(fc));
+                }
+                let sink = SchedTelemetry::new(telemetry.clone(), fleet.then_some(i));
+                let queue = SubmissionQueue::new(cfg.queue_cap, sink);
+                let exec_queue = Arc::clone(&queue);
+                let index = Arc::clone(&index);
+                let handle =
+                    std::thread::spawn(move || executor(index, device, shard_cfg, exec_queue));
+                Shard {
+                    queue,
+                    device,
+                    handle: Some(handle),
+                }
+            })
+            .collect();
         Scheduler {
-            queue,
-            cfg_admission,
-            cfg_op_deadline,
-            handle: Some(handle),
+            shards,
+            router: ShardRouter::new(devices.len()),
+            telemetry,
+            route: Arc::new(RouteCounters::default()),
+            admission: cfg.admission,
+            op_deadline: cfg.op_deadline,
         }
     }
 
@@ -823,50 +1142,58 @@ impl Scheduler {
     /// each producer thread can own one. Fails with
     /// [`SchedError::Shutdown`] once the scheduler has been shut down.
     pub fn client(&self) -> Result<SchedulerClient, SchedError> {
-        if self.queue.is_closed() {
+        if self.shards.iter().any(|s| s.queue.is_closed()) {
             return Err(SchedError::Shutdown);
         }
         Ok(SchedulerClient {
-            queue: Arc::clone(&self.queue),
-            admission: self.cfg_admission,
-            default_deadline: self.cfg_op_deadline,
+            queues: self.shards.iter().map(|s| Arc::clone(&s.queue)).collect(),
+            router: self.router,
+            telemetry: self.telemetry.clone(),
+            route: Arc::clone(&self.route),
+            admission: self.admission,
+            default_deadline: self.op_deadline,
         })
     }
 
-    /// Shut down: close the queue, wait for the executor to drain it, and
-    /// return the accumulated [`SchedulerStats`]. Requests admitted before
-    /// the close are served (the queue is FIFO); clients that submit
+    /// Shut down: close every queue, wait for the executors to drain
+    /// them, and return the per-shard stats. Requests admitted before the
+    /// close are served (each queue is FIFO); clients that submit
     /// afterwards get [`SchedError::Shutdown`]. An executor panic surfaces
-    /// as [`SchedError::ExecutorPanicked`] instead of zeroed stats.
-    pub fn join(mut self) -> Result<SchedulerStats, SchedError> {
-        self.queue.close();
-        match self.handle.take() {
-            Some(h) => match h.join() {
-                Ok(mut stats) => {
-                    self.fold_queue_stats(&mut stats);
-                    Ok(stats)
-                }
-                Err(payload) => Err(SchedError::ExecutorPanicked(panic_message(&payload))),
-            },
-            None => Err(SchedError::Shutdown),
+    /// as [`SchedError::ExecutorPanicked`] instead of zeroed stats, after
+    /// the remaining shards have been joined.
+    pub fn join(mut self) -> Result<ShardedStats, SchedError> {
+        for s in &self.shards {
+            s.queue.close();
         }
-    }
-
-    /// Admission accounting lives producer-side in the queue; fold it
-    /// into the executor's stats at join time, when no producer can still
-    /// be mid-call.
-    fn fold_queue_stats(&self, stats: &mut SchedulerStats) {
-        stats.rejected_ops = self.queue.rejected_ops.load(Ordering::Relaxed);
-        stats.admission_timeout_ops = self.queue.timeout_ops.load(Ordering::Relaxed);
-        stats.max_resident_ops = self.queue.max_resident_ops.load(Ordering::Relaxed);
+        let mut out = ShardedStats {
+            shards: Vec::with_capacity(self.shards.len()),
+            routed_requests: self.route.requests.load(Ordering::Relaxed),
+            routed_keys: self.route.keys.load(Ordering::Relaxed),
+        };
+        let mut first_err = None;
+        for (i, s) in self.shards.iter_mut().enumerate() {
+            match s.join() {
+                Ok(stats) => out.shards.push(ShardStats {
+                    shard: i,
+                    device: s.device,
+                    stats,
+                }),
+                Err(e) => first_err = first_err.or(Some(e)),
+            }
+        }
+        first_err.map_or(Ok(out), Err)
     }
 }
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        self.queue.close();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        for s in &self.shards {
+            s.queue.close();
+        }
+        for s in &mut self.shards {
+            if let Some(h) = s.handle.take() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -947,7 +1274,6 @@ struct ExecCtx<'a> {
     stats: SchedulerStats,
     breaker: Option<Breaker>,
 }
-
 /// The executor loop: block for work, coalesce, shed expired ops, flush
 /// on size / deadline / shutdown.
 fn executor(
@@ -960,7 +1286,7 @@ fn executor(
     // frame — including a panic — the queue is aborted, which drops the
     // orphaned reply channels and wakes blocked admissions.
     let _abort = AbortGuard(Arc::clone(&queue));
-    let telemetry = SchedTelemetry::new(index.telemetry().cloned(), cfg.shard);
+    let telemetry = queue.telemetry.clone();
     let mut session = index.device_session(&dev);
     // The scheduler records the full `sched.batch.*` tree around each
     // device leg (queueing, sort, scatter and the leg itself); the
@@ -989,7 +1315,7 @@ fn executor(
         breaker,
     };
 
-    let mut pending: VecDeque<Request> = VecDeque::new();
+    let mut pending: VecDeque<Job> = VecDeque::new();
     let mut pending_keys = 0usize;
 
     loop {
@@ -1008,13 +1334,12 @@ fn executor(
         };
 
         match queue.pop(wake) {
-            Pop::Got(req) => {
-                ctx.stats.ops_enqueued =
-                    ctx.stats.ops_enqueued.saturating_add(req.keys.len() as u64);
-                ctx.telemetry
-                    .incr(names::SCHED_ENQUEUED, req.keys.len() as u64);
-                pending_keys = pending_keys.saturating_add(req.keys.len());
-                pending.push_back(req);
+            Pop::Got(job) => {
+                let ops = job.op.len();
+                ctx.stats.ops_enqueued = ctx.stats.ops_enqueued.saturating_add(ops as u64);
+                ctx.telemetry.incr(names::SCHED_ENQUEUED, ops as u64);
+                pending_keys = pending_keys.saturating_add(ops);
+                pending.push_back(job);
                 if pending_keys >= batch_target {
                     let depth = pending_keys as u64;
                     ctx.flush(&mut pending, &mut pending_keys);
@@ -1075,7 +1400,7 @@ impl ExecCtx<'_> {
     /// never consumes device time.
     fn shed_expired(
         &mut self,
-        pending: &mut VecDeque<Request>,
+        pending: &mut VecDeque<Job>,
         pending_keys: &mut usize,
         now: Instant,
     ) {
@@ -1084,14 +1409,14 @@ impl ExecCtx<'_> {
         }
         let mut shed_ops = 0usize;
         let mut shed_requests = 0u64;
-        let mut kept: VecDeque<Request> = VecDeque::with_capacity(pending.len());
-        while let Some(req) = pending.pop_front() {
-            if req.deadline.is_some_and(|d| d <= now) {
-                shed_ops = shed_ops.saturating_add(req.keys.len());
+        let mut kept: VecDeque<Job> = VecDeque::with_capacity(pending.len());
+        while let Some(job) = pending.pop_front() {
+            if job.deadline.is_some_and(|d| d <= now) {
+                shed_ops = shed_ops.saturating_add(job.op.len());
                 shed_requests = shed_requests.saturating_add(1);
-                req.reply.send_err(SchedError::DeadlineExceeded);
+                let _ = job.reply.send(Err(SchedError::DeadlineExceeded));
             } else {
-                kept.push_back(req);
+                kept.push_back(job);
             }
         }
         *pending = kept;
@@ -1116,51 +1441,48 @@ impl ExecCtx<'_> {
     /// Drain the whole pending queue: shed expired ops, then execute the
     /// remainder as maximal same-kind head runs, each run one device
     /// batch.
-    fn flush(&mut self, pending: &mut VecDeque<Request>, pending_keys: &mut usize) {
+    fn flush(&mut self, pending: &mut VecDeque<Job>, pending_keys: &mut usize) {
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(*pending_keys as u64);
         self.shed_expired(pending, pending_keys, Instant::now());
         while let Some(front) = pending.front() {
-            let kind = front.kind;
-            let mut run: Vec<Request> = Vec::new();
-            while pending.front().is_some_and(|r| r.kind == kind) {
-                if let Some(r) = pending.pop_front() {
-                    run.push(r);
+            let kind = std::mem::discriminant(&front.op);
+            let mut run: Vec<Job> = Vec::new();
+            while pending
+                .front()
+                .is_some_and(|j| std::mem::discriminant(&j.op) == kind)
+            {
+                if let Some(j) = pending.pop_front() {
+                    run.push(j);
                 }
             }
-            self.execute_run(kind, run);
+            self.execute_run(run);
         }
         *pending_keys = 0;
     }
-
-    /// Execute one same-kind run as a single (optionally sorted) device
-    /// batch and reply to every request in it.
-    fn execute_run(&mut self, kind: OpKind, run: Vec<Request>) {
-        if kind == OpKind::Range {
-            return self.execute_range_run(run);
-        }
+    /// Execute one same-kind run as a single device batch (point ops
+    /// optionally sorted) and reply to every request in it.
+    fn execute_run(&mut self, run: Vec<Job>) {
+        let extents: Vec<usize> = run.iter().map(|j| j.op.len()).collect();
+        let total: usize = extents.iter().sum();
+        let oldest = run.iter().map(|j| j.enqueued).min();
         // Concatenate the run into one batch, remembering per-request
         // extents.
-        let total: usize = run.iter().map(|r| r.keys.len()).sum();
-        let mut keys: Vec<Vec<u8>> = Vec::with_capacity(total);
-        let mut values: Vec<u64> = Vec::with_capacity(total);
-        let mut extents: Vec<usize> = Vec::with_capacity(run.len());
-        let oldest = run.iter().map(|r| r.enqueued).min();
-        for r in &run {
-            extents.push(r.keys.len());
-            keys.extend(r.keys.iter().cloned());
-            values.extend(r.values.iter().cloned());
+        let mut replies = Vec::with_capacity(run.len());
+        let mut batch: Option<Op> = None;
+        for job in run {
+            replies.push(job.reply);
+            match batch.as_mut() {
+                Some(b) => b.append(job.op),
+                None => batch = Some(job.op),
+            }
         }
+        let Some(mut batch) = batch else { return };
 
         // Sorted-batch composition: stable sort keeps duplicate keys in
         // submission order, so kernel-side "highest tid wins" still
         // resolves to the latest submitted op.
         let perm = if self.cfg.sort_batches && total > 1 {
-            let p = sort_permutation(&keys);
-            keys = gather(&keys, &p);
-            if !values.is_empty() {
-                values = gather(&values, &p);
-            }
-            Some(p)
+            batch.sort()
         } else {
             None
         };
@@ -1174,20 +1496,15 @@ impl ExecCtx<'_> {
         }
         let injected_before = self.session.fault_stats().injected;
 
-        let outcome = match kind {
-            OpKind::Lookup => self.session.lookup_batch(&keys),
-            OpKind::Update => {
-                let ops: Vec<(Vec<u8>, u64)> = keys.into_iter().zip(values).collect();
-                self.session.update_batch(&ops)
-            }
-            OpKind::Insert => {
-                let ops: Vec<(Vec<u8>, u64)> = keys.into_iter().zip(values).collect();
-                self.session.insert_batch(&ops)
-            }
-            // Dispatched to execute_range_run above; kept panic-free.
-            OpKind::Range => Err(CuartError::Internal {
-                detail: "range run reached the point-op path".into(),
-            }),
+        let values = |(v, report): (Vec<u64>, KernelReport)| (Answer::Values(v), report);
+        let outcome = match &batch {
+            Op::Lookup(keys) => self.session.lookup_batch(keys).map(values),
+            Op::Update(ops) => self.session.update_batch(ops).map(values),
+            Op::Insert(ops) => self.session.insert_batch(ops).map(values),
+            Op::Range(ranges) => self
+                .session
+                .range_batch(ranges)
+                .map(|(rows, report)| (Answer::Rows(rows), report)),
         };
         let injected_delta = self
             .session
@@ -1196,19 +1513,17 @@ impl ExecCtx<'_> {
             .saturating_sub(injected_before);
 
         match outcome {
-            Ok((batch_results, report)) => {
+            Ok((answer, report)) => {
                 self.stats.absorb_report(total, &report);
-                if perm.is_some() {
-                    self.stats.sorted_batches = self.stats.sorted_batches.saturating_add(1);
-                }
-                let results = match &perm {
-                    Some(p) => scatter_inverse(&batch_results, p),
-                    None => batch_results,
-                };
                 self.telemetry.incr(names::SCHED_BATCHES, 1);
                 if perm.is_some() {
+                    self.stats.sorted_batches = self.stats.sorted_batches.saturating_add(1);
                     self.telemetry.incr(names::SCHED_SORTED_BATCHES, 1);
                 }
+                let answer = match (answer, &perm) {
+                    (Answer::Values(v), Some(p)) => Answer::Values(scatter_inverse(&v, p)),
+                    (answer, _) => answer,
+                };
                 if let Some(t) = self.telemetry.raw() {
                     t.observe(names::SCHED_BATCH_FILL, total as u64);
                     if let Some(start) = oldest {
@@ -1220,7 +1535,7 @@ impl ExecCtx<'_> {
                     record_sched_span(
                         &self.session,
                         t,
-                        kind,
+                        &batch,
                         total,
                         perm.is_some(),
                         mode == DispatchMode::Probe,
@@ -1228,14 +1543,9 @@ impl ExecCtx<'_> {
                     );
                 }
                 // Slice results back out per request, in FIFO order.
-                let mut off = 0usize;
-                for (req, len) in run.into_iter().zip(extents) {
+                for (reply, part) in replies.into_iter().zip(answer.split(&extents)) {
                     self.stats.requests += 1;
-                    let slice = results[off..off + len].to_vec();
-                    off += len;
-                    if let Reply::Values(s) = &req.reply {
-                        let _ = s.send(Ok(slice));
-                    }
+                    let _ = reply.send(Ok(part));
                 }
                 if mode != DispatchMode::CpuOnly {
                     self.breaker_after(injected_delta > 0, report.time_ns, total as u64);
@@ -1244,90 +1554,9 @@ impl ExecCtx<'_> {
             Err(e) => {
                 self.stats.failed_batches = self.stats.failed_batches.saturating_add(1);
                 let err = SchedError::from(&e);
-                for req in run {
+                for reply in replies {
                     self.stats.requests += 1;
-                    req.reply.send_err(err.clone());
-                }
-                if mode != DispatchMode::CpuOnly {
-                    self.breaker_after(true, 0.0, total as u64);
-                }
-            }
-        }
-        self.queue.release(total);
-    }
-
-    /// Execute one run of range requests as a single device batch. Ranges
-    /// are never sorted — each request's `[lo, hi]` pairs keep arrival
-    /// order, and rows come back sorted per range by construction.
-    fn execute_range_run(&mut self, run: Vec<Request>) {
-        let total: usize = run.iter().map(|r| r.keys.len()).sum();
-        let mut ranges: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(total);
-        let mut extents: Vec<usize> = Vec::with_capacity(run.len());
-        let oldest = run.iter().map(|r| r.enqueued).min();
-        for r in &run {
-            extents.push(r.keys.len());
-            for (lo, hi) in r.keys.iter().zip(&r.his) {
-                ranges.push((lo.clone(), hi.clone()));
-            }
-        }
-
-        let mode = self.breaker_before(total as u64);
-        if mode == DispatchMode::Probe {
-            self.stats.probe_batches = self.stats.probe_batches.saturating_add(1);
-            self.telemetry.incr(names::SCHED_PROBE_BATCHES, 1);
-        } else if mode == DispatchMode::CpuOnly {
-            self.stats.breaker_open_batches = self.stats.breaker_open_batches.saturating_add(1);
-        }
-        let injected_before = self.session.fault_stats().injected;
-
-        let outcome = self.session.range_batch(&ranges);
-        let injected_delta = self
-            .session
-            .fault_stats()
-            .injected
-            .saturating_sub(injected_before);
-
-        match outcome {
-            Ok((rows, report)) => {
-                self.stats.absorb_report(total, &report);
-                self.telemetry.incr(names::SCHED_BATCHES, 1);
-                if let Some(t) = self.telemetry.raw() {
-                    t.observe(names::SCHED_BATCH_FILL, total as u64);
-                    if let Some(start) = oldest {
-                        t.observe(
-                            names::SCHED_QUEUE_LATENCY_NS,
-                            start.elapsed().as_nanos() as u64,
-                        );
-                    }
-                    record_sched_span(
-                        &self.session,
-                        t,
-                        OpKind::Range,
-                        total,
-                        false,
-                        mode == DispatchMode::Probe,
-                        &report,
-                    );
-                }
-                let mut off = 0usize;
-                for (req, len) in run.into_iter().zip(extents) {
-                    self.stats.requests += 1;
-                    let slice = rows[off..off + len].to_vec();
-                    off += len;
-                    if let Reply::Rows(s) = &req.reply {
-                        let _ = s.send(Ok(slice));
-                    }
-                }
-                if mode != DispatchMode::CpuOnly {
-                    self.breaker_after(injected_delta > 0, report.time_ns, total as u64);
-                }
-            }
-            Err(e) => {
-                self.stats.failed_batches = self.stats.failed_batches.saturating_add(1);
-                let err = SchedError::from(&e);
-                for req in run {
-                    self.stats.requests += 1;
-                    req.reply.send_err(err.clone());
+                    let _ = reply.send(Err(err.clone()));
                 }
                 if mode != DispatchMode::CpuOnly {
                     self.breaker_after(true, 0.0, total as u64);
@@ -1468,7 +1697,7 @@ impl ExecCtx<'_> {
 fn record_sched_span(
     session: &cuart::CuartSession<'_>,
     t: &Telemetry,
-    kind: OpKind,
+    batch: &Op,
     total: usize,
     sorted: bool,
     probe: bool,
@@ -1483,8 +1712,8 @@ fn record_sched_span(
     let log2n = (u64::BITS - n.leading_zeros()).max(1) as u64;
     // Ranges ship packed [lo, hi] records up and per-class span pairs
     // down; point ops ship stride-packed keys up and one u64 down.
-    let (up_stride, down_stride) = match kind {
-        OpKind::Range => (
+    let (up_stride, down_stride) = match batch {
+        Op::Range(_) => (
             cuart::range::RANGE_RECORD_BYTES,
             cuart::range::RANGE_RESULT_BYTES,
         ),
@@ -1507,11 +1736,11 @@ fn record_sched_span(
     if sorted {
         children.push(SpanNode::leaf(spans::SCATTER, SCATTER_NS_PER_KEY * n));
     }
-    let name = match kind {
-        OpKind::Lookup => spans::SCHED_BATCH_LOOKUP,
-        OpKind::Update => spans::SCHED_BATCH_UPDATE,
-        OpKind::Insert => spans::SCHED_BATCH_INSERT,
-        OpKind::Range => spans::SCHED_BATCH_RANGE,
+    let name = match batch {
+        Op::Lookup(_) => spans::SCHED_BATCH_LOOKUP,
+        Op::Update(_) => spans::SCHED_BATCH_UPDATE,
+        Op::Insert(_) => spans::SCHED_BATCH_INSERT,
+        Op::Range(_) => spans::SCHED_BATCH_RANGE,
     };
     let mut root = SpanNode::node(name, children)
         .with_attr("keys", total)
@@ -1521,7 +1750,6 @@ fn record_sched_span(
     }
     t.record_span_tree(&root);
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1560,7 +1788,7 @@ mod tests {
         }
         assert_eq!(client.lookup_one(key(9999)), Ok(NOT_FOUND));
         drop(client);
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert_eq!(stats.ops_enqueued, 65);
         assert_eq!(stats.requests, 2);
         assert!(stats.batches >= 1);
@@ -1575,7 +1803,7 @@ mod tests {
         assert_eq!(client.lookup(Vec::new()), Ok(Vec::new()));
         assert_eq!(client.range(Vec::new()), Ok(Vec::new()));
         drop(client);
-        assert_eq!(sched.join().unwrap().requests, 0);
+        assert_eq!(sched.join().unwrap().aggregate().requests, 0);
     }
 
     #[test]
@@ -1601,7 +1829,7 @@ mod tests {
         assert_eq!(rows[1], vec![(key(30), 300)]);
         assert!(rows[2].is_empty());
         drop(client);
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         // 1 update op + 3 range ops went through the queue.
         assert_eq!(stats.ops_enqueued, 4);
         assert_eq!(stats.requests, 2);
@@ -1617,10 +1845,13 @@ mod tests {
         };
         let sched = spawn(&index, cfg);
         let client = sched.client().unwrap();
-        let got = client.range_with_deadline(vec![(key(0), key(9))], Duration::ZERO);
+        let got = client.submit(Request {
+            op: Op::Range(vec![(key(0), key(9))]),
+            deadline: Some(Duration::ZERO),
+        });
         assert_eq!(got, Err(SchedError::DeadlineExceeded));
         drop(client);
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert_eq!(stats.shed_ops, 1);
     }
 
@@ -1649,7 +1880,7 @@ mod tests {
                 assert_eq!(*r, (p as u64 * 32 + i as u64) * 10);
             }
         }
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert!(stats.size_flushes >= 1, "expected a size flush: {stats:?}");
         assert_eq!(stats.deadline_flushes, 0);
         assert_eq!(stats.keys_dispatched, 64);
@@ -1668,7 +1899,7 @@ mod tests {
         let r = client.lookup_one(key(7)).unwrap();
         assert_eq!(r, 70);
         drop(client);
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert!(
             stats.deadline_flushes + stats.final_flushes >= 1,
             "an underfilled batch must flush on deadline or shutdown: {stats:?}"
@@ -1701,7 +1932,7 @@ mod tests {
         assert_eq!(statuses.len(), 1);
         assert_eq!(looked, vec![4242]);
         drop(client);
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         // Two kinds in one flush → at least two batches (head runs).
         assert!(stats.batches >= 2, "head runs split by kind: {stats:?}");
     }
@@ -1797,7 +2028,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert_eq!(stats.ops_enqueued, producers * per);
         assert_eq!(stats.keys_dispatched, producers * per);
         assert!(stats.sorted_batches >= 1);
@@ -1831,7 +2062,7 @@ mod tests {
         let served = fill.join().unwrap().unwrap();
         assert_eq!(served.len(), 4);
         drop(client);
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert_eq!(stats.rejected_ops, 6);
         assert!(stats.max_resident_ops <= 4, "{stats:?}");
     }
@@ -1862,7 +2093,7 @@ mod tests {
         );
         fill.join().unwrap().unwrap();
         drop(client);
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert_eq!(stats.admission_timeout_ops, 1);
     }
 
@@ -1891,7 +2122,7 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap().len(), 4);
         }
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert_eq!(stats.ops_enqueued, 16);
         assert_eq!(stats.keys_dispatched, 16);
         assert!(
@@ -1913,11 +2144,14 @@ mod tests {
         // The call returns in milliseconds even though the batch deadline
         // is half a minute away: only the op-deadline shed can answer it.
         assert_eq!(
-            client.lookup_with_deadline(vec![key(1)], Duration::from_millis(5)),
+            client.submit(Request {
+                op: Op::Lookup(vec![key(1)]),
+                deadline: Some(Duration::from_millis(5)),
+            }),
             Err(SchedError::DeadlineExceeded)
         );
         drop(client);
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert_eq!(stats.shed_ops, 1);
         assert_eq!(stats.keys_dispatched, 0);
         assert_eq!(stats.deadline_flushes, 0, "shed, not flushed: {stats:?}");
@@ -1939,7 +2173,7 @@ mod tests {
             Err(SchedError::DeadlineExceeded)
         );
         drop(client);
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert_eq!(stats.shed_ops, 1);
     }
 
@@ -1974,7 +2208,7 @@ mod tests {
         assert_eq!(client.lookup_one(key(7)).unwrap(), 70);
         assert_eq!(client.lookup_one(key(5)).unwrap(), 555);
         drop(client);
-        let stats = sched.join().unwrap();
+        let stats = sched.join().unwrap().aggregate();
         assert!(stats.breaker_trips >= 1, "{stats:?}");
         assert!(stats.probe_batches >= 1, "{stats:?}");
         assert!(stats.breaker_open_batches >= 1, "{stats:?}");
@@ -2007,5 +2241,107 @@ mod tests {
             let err = producer.join().unwrap();
             assert_eq!(err, SchedError::Shutdown, "round {round}");
         }
+    }
+
+    fn fleet_cfg() -> SchedulerConfig {
+        SchedulerConfig {
+            batch_target: 4096,
+            deadline: Duration::from_micros(200),
+            ..SchedulerConfig::default()
+        }
+    }
+
+    #[test]
+    fn spawn_on_no_devices_is_refused() {
+        let index = build_index(16);
+        match Scheduler::spawn_fleet(index, &[], fleet_cfg()) {
+            Err(SchedError::NoShards) => {}
+            Err(other) => panic!("expected NoShards, got {other:?}"),
+            Ok(_) => panic!("expected NoShards, got a scheduler"),
+        }
+    }
+
+    #[test]
+    fn mixed_fleet_lookup_matches_cpu_and_splits_work() {
+        let index = build_index(8192);
+        let devs = [
+            devices::rtx3090(),
+            devices::rtx3090(),
+            devices::gtx1070(),
+            devices::gtx1070(),
+        ];
+        let sharded = Scheduler::spawn_fleet(Arc::clone(&index), &devs, fleet_cfg()).unwrap();
+        let client = sharded.client().unwrap();
+        // Keys spanning the whole u64 top byte so all shards see traffic.
+        let keys: Vec<Vec<u8>> = (0..2048u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_be_bytes().to_vec())
+            .chain((0..2048u64).map(|i| i.to_be_bytes().to_vec()))
+            .collect();
+        let expect: Vec<u64> = index
+            .lookup_batch_cpu(&keys)
+            .into_iter()
+            .map(|r| r.unwrap_or(NOT_FOUND))
+            .collect();
+        let got = client.lookup(keys).unwrap();
+        assert_eq!(got, expect);
+        let stats = sharded.join().unwrap();
+        assert_eq!(stats.routed_requests, 1);
+        assert_eq!(stats.routed_keys, 4096);
+        assert_eq!(stats.aggregate().keys_dispatched, 4096);
+        let busy = stats
+            .shards
+            .iter()
+            .filter(|s| s.stats.keys_dispatched > 0)
+            .count();
+        assert!(busy >= 2, "uniform keys must reach several shards");
+    }
+
+    #[test]
+    fn updates_route_to_owning_shard_and_win_last() {
+        let index = build_index(1024);
+        let devs = [devices::rtx3090(), devices::gtx1070()];
+        let sharded = Scheduler::spawn_fleet(Arc::clone(&index), &devs, fleet_cfg()).unwrap();
+        let client = sharded.client().unwrap();
+        // Duplicate keys inside one request: last write must win.
+        let k = 7u64.to_be_bytes().to_vec();
+        let ops = vec![(k.clone(), 111), (k.clone(), 222), (k.clone(), 333)];
+        client.update(ops).unwrap();
+        assert_eq!(client.lookup(vec![k]).unwrap(), vec![333]);
+        sharded.join().unwrap();
+    }
+
+    #[test]
+    fn sharded_range_spans_shards_and_sees_routed_updates() {
+        let index = build_index(1024);
+        let devs = [devices::rtx3090(), devices::gtx1070()];
+        let sharded = Scheduler::spawn_fleet(Arc::clone(&index), &devs, fleet_cfg()).unwrap();
+        let client = sharded.client().unwrap();
+        // Two keys from opposite ends of the key space, so their owning
+        // shards differ; the full-space range must merge both mutations.
+        let lo_key = 3u64.to_be_bytes().to_vec();
+        let hi_key = [0xFFu8; 8].to_vec();
+        client
+            .insert(vec![(lo_key.clone(), 111), (hi_key.clone(), 222)])
+            .unwrap();
+        let full = (vec![0u8], vec![0xFFu8; 9]);
+        let rows = client.range(vec![full]).unwrap().remove(0);
+        assert_eq!(rows.len(), 1025, "1024 built keys + 1 new insert");
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "sorted, deduped");
+        assert!(rows.contains(&(lo_key, 111)));
+        assert_eq!(rows.last().unwrap(), &(hi_key, 222));
+        let stats = sharded.join().unwrap();
+        assert_eq!(stats.routed_requests, 2);
+    }
+
+    #[test]
+    fn empty_call_answers_without_touching_any_shard() {
+        let index = build_index(16);
+        let sharded =
+            Scheduler::spawn_fleet(Arc::clone(&index), &[devices::gtx1070()], fleet_cfg()).unwrap();
+        let client = sharded.client().unwrap();
+        assert_eq!(client.lookup(Vec::new()).unwrap(), Vec::<u64>::new());
+        let stats = sharded.join().unwrap();
+        assert_eq!(stats.routed_requests, 0);
+        assert_eq!(stats.aggregate().batches, 0);
     }
 }

@@ -1,6 +1,6 @@
 //! cuart-net: the binary RPC serving subsystem.
 //!
-//! Puts the scheduler stack behind a TCP socket with the same semantics
+//! Puts the scheduler behind a TCP socket with the same semantics
 //! it has in-process: CRC-guarded, versioned frames ([`proto`]), a
 //! backpressure-aware multi-threaded server with drain-safe shutdown
 //! ([`server`]), and a blocking pooled client ([`client`]). Overload and
@@ -17,4 +17,4 @@ pub mod server;
 
 pub use client::{NetClient, NetError, NetPool, PooledClient};
 pub use proto::{ErrorCode, Op, Opcode, Request, RespBody, Response, WireError};
-pub use server::{NetReport, NetServer, NetServerConfig, SchedReport, ShutdownHandle};
+pub use server::{NetReport, NetServer, NetServerConfig, ShutdownHandle};

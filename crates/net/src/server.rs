@@ -1,8 +1,8 @@
 //! Backpressure-aware multi-threaded TCP server.
 //!
-//! The server owns a scheduler stack — a plain [`Scheduler`] or a
-//! [`ShardedScheduler`] fleet — and serves the wire protocol from
-//! [`proto`](crate::proto) over any number of connections:
+//! The server owns a [`Scheduler`] — one device or a sharded fleet — and
+//! serves the wire protocol from [`proto`] over any number of
+//! connections:
 //!
 //! * **Per connection**: a reader thread decodes frames and feeds a
 //!   *bounded* in-flight window (a `sync_channel` of
@@ -27,9 +27,8 @@
 //!   after all of that succeeded.
 
 use crate::proto::{self, ErrorCode, Op, RespBody, Response, WireError};
-use cuart_host::scheduler::RangeRows;
-use cuart_host::sharded::{ShardedClient, ShardedScheduler, ShardedStats};
-use cuart_host::{SchedError, Scheduler, SchedulerClient, SchedulerStats};
+use cuart_host::scheduler::{self as sched, Answer};
+use cuart_host::{SchedError, Scheduler, SchedulerClient, ShardedStats};
 use cuart_telemetry::{names, SpanNode, Telemetry};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -80,8 +79,6 @@ struct NetCounters {
     open: AtomicU64,
     frames_in: AtomicU64,
     frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
     decode_errors: AtomicU64,
     error_frames: AtomicU64,
     window_stalls: AtomicU64,
@@ -106,91 +103,8 @@ pub struct NetReport {
     /// Times a connection's in-flight window was full when a frame
     /// arrived (reader blocked → TCP backpressure).
     pub window_stalls: u64,
-    /// The drained scheduler stack's own statistics.
-    pub sched: SchedReport,
-}
-
-/// Stats of whichever scheduler stack the server owned.
-#[derive(Debug)]
-pub enum SchedReport {
-    /// Single-device scheduler.
-    Single(SchedulerStats),
-    /// Sharded fleet.
-    Sharded(ShardedStats),
-}
-
-impl SchedReport {
-    /// The stack's aggregate scheduler counters (field-wise sum across
-    /// shards for the fleet case).
-    pub fn aggregate(&self) -> SchedulerStats {
-        match self {
-            SchedReport::Single(s) => s.clone(),
-            SchedReport::Sharded(s) => s.aggregate(),
-        }
-    }
-}
-
-/// The scheduler stack a server owns until drain.
-enum AnySched {
-    Single(Scheduler),
-    Sharded(ShardedScheduler),
-}
-
-/// A per-worker producer handle onto [`AnySched`].
-#[derive(Clone)]
-enum AnyClient {
-    Single(SchedulerClient),
-    Sharded(ShardedClient),
-}
-
-impl AnyClient {
-    fn lookup(&self, keys: Vec<Vec<u8>>, budget: Option<Duration>) -> Result<Vec<u64>, SchedError> {
-        match (self, budget) {
-            (AnyClient::Single(c), None) => c.lookup(keys),
-            (AnyClient::Single(c), Some(b)) => c.lookup_with_deadline(keys, b),
-            (AnyClient::Sharded(c), None) => c.lookup(keys),
-            (AnyClient::Sharded(c), Some(b)) => c.lookup_with_deadline(keys, b),
-        }
-    }
-
-    fn update(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: Option<Duration>,
-    ) -> Result<Vec<u64>, SchedError> {
-        match (self, budget) {
-            (AnyClient::Single(c), None) => c.update(ops),
-            (AnyClient::Single(c), Some(b)) => c.update_with_deadline(ops, b),
-            (AnyClient::Sharded(c), None) => c.update(ops),
-            (AnyClient::Sharded(c), Some(b)) => c.update_with_deadline(ops, b),
-        }
-    }
-
-    fn insert(
-        &self,
-        ops: Vec<(Vec<u8>, u64)>,
-        budget: Option<Duration>,
-    ) -> Result<Vec<u64>, SchedError> {
-        match (self, budget) {
-            (AnyClient::Single(c), None) => c.insert(ops),
-            (AnyClient::Single(c), Some(b)) => c.insert_with_deadline(ops, b),
-            (AnyClient::Sharded(c), None) => c.insert(ops),
-            (AnyClient::Sharded(c), Some(b)) => c.insert_with_deadline(ops, b),
-        }
-    }
-
-    fn range(
-        &self,
-        ranges: Vec<(Vec<u8>, Vec<u8>)>,
-        budget: Option<Duration>,
-    ) -> Result<Vec<RangeRows>, SchedError> {
-        match (self, budget) {
-            (AnyClient::Single(c), None) => c.range(ranges),
-            (AnyClient::Single(c), Some(b)) => c.range_with_deadline(ranges, b),
-            (AnyClient::Sharded(c), None) => c.range(ranges),
-            (AnyClient::Sharded(c), Some(b)) => c.range_with_deadline(ranges, b),
-        }
-    }
+    /// The drained scheduler's own per-shard statistics.
+    pub sched: ShardedStats,
 }
 
 /// Requests the server's drain-safe shutdown from any thread.
@@ -217,13 +131,13 @@ pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: JoinHandle<()>,
-    sched: Arc<Mutex<Option<AnySched>>>,
+    sched: Scheduler,
     counters: Arc<NetCounters>,
     telemetry: Option<Arc<Telemetry>>,
 }
 
 impl NetServer {
-    /// Serve a single-device [`Scheduler`].
+    /// Serve a [`Scheduler`], whatever its shard count.
     pub fn serve_single(
         listener: TcpListener,
         sched: Scheduler,
@@ -233,41 +147,6 @@ impl NetServer {
         let client = sched
             .client()
             .map_err(|e| io::Error::other(e.to_string()))?;
-        Self::serve(
-            listener,
-            AnySched::Single(sched),
-            AnyClient::Single(client),
-            telemetry,
-            cfg,
-        )
-    }
-
-    /// Serve a [`ShardedScheduler`] fleet.
-    pub fn serve_sharded(
-        listener: TcpListener,
-        sched: ShardedScheduler,
-        telemetry: Option<Arc<Telemetry>>,
-        cfg: NetServerConfig,
-    ) -> io::Result<NetServer> {
-        let client = sched
-            .client()
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        Self::serve(
-            listener,
-            AnySched::Sharded(sched),
-            AnyClient::Sharded(client),
-            telemetry,
-            cfg,
-        )
-    }
-
-    fn serve(
-        listener: TcpListener,
-        sched: AnySched,
-        client: AnyClient,
-        telemetry: Option<Arc<Telemetry>>,
-        cfg: NetServerConfig,
-    ) -> io::Result<NetServer> {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -290,7 +169,7 @@ impl NetServer {
             addr,
             stop,
             accept,
-            sched: Arc::new(Mutex::new(Some(sched))),
+            sched,
             counters,
             telemetry,
         })
@@ -310,7 +189,7 @@ impl NetServer {
 
     /// Block until a shutdown is requested (via [`Self::shutdown_handle`]
     /// or a remote shutdown frame), drain every connection's in-flight
-    /// work, join the scheduler stack, and return the final report.
+    /// work, join the scheduler, and return the final report.
     pub fn join(self) -> Result<NetReport, SchedError> {
         // The accept thread owns the per-connection threads and joins
         // them before exiting, so this blocks until all in-flight
@@ -318,12 +197,7 @@ impl NetServer {
         if self.accept.join().is_err() {
             return Err(SchedError::ExecutorPanicked("net accept thread".into()));
         }
-        let sched = { self.sched.lock().expect("net sched lock").take() };
-        let sched = match sched {
-            Some(AnySched::Single(s)) => SchedReport::Single(s.join()?),
-            Some(AnySched::Sharded(s)) => SchedReport::Sharded(s.join()?),
-            None => return Err(SchedError::Shutdown),
-        };
+        let sched = self.sched.join()?;
         if let Some(t) = &self.telemetry {
             t.gauge_set(names::NET_DRAINED, 1.0);
             t.gauge_set(names::NET_CONNECTIONS, 0.0);
@@ -345,7 +219,7 @@ impl NetServer {
 fn accept_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
-    client: AnyClient,
+    client: SchedulerClient,
     counters: Arc<NetCounters>,
     telemetry: Option<Arc<Telemetry>>,
     cfg: NetServerConfig,
@@ -394,7 +268,7 @@ fn accept_loop(
 /// Everything a connection's threads need.
 struct ConnCtx {
     stop: Arc<AtomicBool>,
-    client: AnyClient,
+    client: SchedulerClient,
     counters: Arc<NetCounters>,
     telemetry: Option<Arc<Telemetry>>,
     cfg: NetServerConfig,
@@ -485,9 +359,7 @@ fn connection_inner(stream: &mut TcpStream, ctx: &ConnCtx) -> io::Result<()> {
     )? {
         return Ok(());
     }
-    ctx.counters
-        .bytes_in
-        .fetch_add(hello.len() as u64, Ordering::Relaxed);
+    note_bytes_in(ctx, hello.len());
     if let Err(e) = proto::decode_hello(&hello) {
         // Answer with a typed error frame (id 0: no request exists yet)
         // and close; the server survives bad peers.
@@ -501,9 +373,6 @@ fn connection_inner(stream: &mut TcpStream, ctx: &ConnCtx) -> io::Result<()> {
     }
     let our_hello = proto::encode_hello(proto::VERSION);
     stream.write_all(&our_hello)?;
-    ctx.counters
-        .bytes_out
-        .fetch_add(our_hello.len() as u64, Ordering::Relaxed);
 
     // --- Per-connection pipeline: reader (this thread) → bounded window
     // → workers → writer. --------------------------------------------
@@ -579,18 +448,14 @@ fn reader_loop(
             return Ok(());
         }
         let t0 = Instant::now();
-        ctx.counters
-            .bytes_in
-            .fetch_add(header.len() as u64, Ordering::Relaxed);
+        note_bytes_in(ctx, header.len());
         let decoded = proto::decode_frame_header(&header).and_then(|(len, crc)| {
             let mut payload = vec![0u8; len];
             if !read_full(stream, &mut payload, &ctx.stop, None, started)? {
                 // EOF mid-frame: treat as truncation.
                 return Err(WireError::Truncated);
             }
-            ctx.counters
-                .bytes_in
-                .fetch_add(len as u64, Ordering::Relaxed);
+            note_bytes_in(ctx, len);
             proto::check_frame_crc(&payload, crc)?;
             proto::decode_request(&payload)
         });
@@ -642,7 +507,7 @@ impl From<io::Error> for WireError {
 fn worker_loop(
     work_rx: Arc<Mutex<Receiver<Job>>>,
     resp_tx: std::sync::mpsc::Sender<Vec<u8>>,
-    client: AnyClient,
+    client: SchedulerClient,
     stop: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
     telemetry: Option<Arc<Telemetry>>,
@@ -689,39 +554,33 @@ fn worker_loop(
     }
 }
 
-/// Execute one decoded request against the scheduler stack.
+/// Execute one decoded request against the scheduler.
 fn execute(
     req: proto::Request,
-    client: &AnyClient,
+    client: &SchedulerClient,
     stop: &AtomicBool,
     allow_shutdown: bool,
 ) -> RespBody {
-    let budget = if req.deadline_us == 0 {
-        None
-    } else {
-        Some(Duration::from_micros(u64::from(req.deadline_us)))
-    };
-    let sched = |r: Result<Vec<u64>, SchedError>| match r {
-        Ok(values) => RespBody::Values(values),
-        Err(e) => RespBody::Error(proto::error_code_of(&e), e.to_string()),
-    };
-    match req.op {
-        Op::Lookup(keys) => sched(client.lookup(keys, budget)),
-        Op::Update(ops) => sched(client.update(ops, budget)),
-        Op::Insert(ops) => sched(client.insert(ops, budget)),
-        Op::Range(ranges) => match client.range(ranges, budget) {
-            Ok(rows) => RespBody::Rows(rows),
-            Err(e) => RespBody::Error(proto::error_code_of(&e), e.to_string()),
-        },
-        Op::Ping => RespBody::Ok,
-        Op::Shutdown => {
-            if allow_shutdown {
-                stop.store(true, Ordering::SeqCst);
-                RespBody::Ok
-            } else {
-                RespBody::Error(ErrorCode::Unsupported, "remote shutdown disabled".into())
-            }
+    let op = match req.op {
+        Op::Lookup(keys) => sched::Op::Lookup(keys),
+        Op::Update(ops) => sched::Op::Update(ops),
+        Op::Insert(ops) => sched::Op::Insert(ops),
+        Op::Range(ranges) => sched::Op::Range(ranges),
+        Op::Ping => return RespBody::Ok,
+        Op::Shutdown if allow_shutdown => {
+            stop.store(true, Ordering::SeqCst);
+            return RespBody::Ok;
         }
+        Op::Shutdown => {
+            return RespBody::Error(ErrorCode::Unsupported, "remote shutdown disabled".into())
+        }
+    };
+    let deadline =
+        (req.deadline_us != 0).then(|| Duration::from_micros(u64::from(req.deadline_us)));
+    match client.submit(sched::Request { op, deadline }) {
+        Ok(Answer::Values(values)) => RespBody::Values(values),
+        Ok(Answer::Rows(rows)) => RespBody::Rows(rows),
+        Err(e) => RespBody::Error(proto::error_code_of(&e), e.to_string()),
     }
 }
 
@@ -738,15 +597,18 @@ fn writer_loop(
             continue;
         }
         counters.frames_out.fetch_add(1, Ordering::Relaxed);
-        counters
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
         if let Some(t) = &telemetry {
             t.incr(names::NET_FRAMES_OUT, 1);
             t.incr(names::NET_BYTES_OUT, frame.len() as u64);
         }
     }
     let _ = out.flush();
+}
+
+fn note_bytes_in(ctx: &ConnCtx, n: usize) {
+    if let Some(t) = &ctx.telemetry {
+        t.incr(names::NET_BYTES_IN, n as u64);
+    }
 }
 
 fn note_decode_error(ctx: &ConnCtx, e: &WireError) {
@@ -769,9 +631,6 @@ fn write_response(stream: &mut TcpStream, resp: &Response, ctx: &ConnCtx) -> io:
     let frame = proto::encode_frame(&payload);
     stream.write_all(&frame)?;
     ctx.counters.frames_out.fetch_add(1, Ordering::Relaxed);
-    ctx.counters
-        .bytes_out
-        .fetch_add(frame.len() as u64, Ordering::Relaxed);
     if let Some(t) = &ctx.telemetry {
         t.incr(names::NET_FRAMES_OUT, 1);
         t.incr(names::NET_BYTES_OUT, frame.len() as u64);

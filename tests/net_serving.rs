@@ -3,7 +3,7 @@
 //! Five contracts are pinned here:
 //!
 //! 1. **Byte equivalence** — concurrent TCP clients spraying lookups
-//!    through a [`ShardedScheduler`]-backed server get answers
+//!    through a sharded-[`Scheduler`]-backed server get answers
 //!    byte-identical to `CuartIndex::lookup_batch_cpu`.
 //! 2. **Typed refusals** — queue-cap rejects, deadline sheds and (under
 //!    `--features faults`) a breaker storm surface as typed error frames
@@ -23,7 +23,6 @@ use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::devices;
 use cuart_host::scheduler::{AdmissionPolicy, BreakerConfig, SchedulerConfig};
-use cuart_host::sharded::ShardedScheduler;
 use cuart_host::Scheduler;
 use cuart_net::proto::{self, ErrorCode, Op, RespBody};
 use cuart_net::{NetClient, NetError, NetServer, NetServerConfig};
@@ -80,8 +79,8 @@ fn concurrent_clients_match_the_cpu_engine_through_a_sharded_fleet() {
         sort_batches: true,
         ..SchedulerConfig::default()
     };
-    let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, cfg).unwrap();
-    let server = NetServer::serve_sharded(listener(), sharded, None, NetServerConfig::default())
+    let sharded = Scheduler::spawn_fleet(Arc::clone(&index), &devs, cfg).unwrap();
+    let server = NetServer::serve_single(listener(), sharded, None, NetServerConfig::default())
         .expect("serve");
     let addr = server.local_addr();
     let stop = server.shutdown_handle();
@@ -490,6 +489,8 @@ fn graceful_drain_answers_everything_admitted_then_closes_the_listener() {
     // flag — drain MUST still answer every one of them.
     let mut s = handshake_raw(addr);
     let mut expected = std::collections::BTreeMap::new();
+    // Every byte the server reads: the hello plus each frame below.
+    let mut sent_bytes = proto::HELLO_BYTES;
     for i in 0..10u64 {
         let payload = proto::encode_request(&proto::Request {
             id: i + 1,
@@ -497,7 +498,9 @@ fn graceful_drain_answers_everything_admitted_then_closes_the_listener() {
             op: Op::Lookup(vec![key(i)]),
         })
         .unwrap();
-        s.write_all(&proto::encode_frame(&payload)).unwrap();
+        let frame = proto::encode_frame(&payload);
+        s.write_all(&frame).unwrap();
+        sent_bytes += frame.len();
         expected.insert(i + 1, i * 3 + 1);
     }
     let payload = proto::encode_request(&proto::Request {
@@ -506,7 +509,9 @@ fn graceful_drain_answers_everything_admitted_then_closes_the_listener() {
         op: Op::Shutdown,
     })
     .unwrap();
-    s.write_all(&proto::encode_frame(&payload)).unwrap();
+    let frame = proto::encode_frame(&payload);
+    s.write_all(&frame).unwrap();
+    sent_bytes += frame.len();
 
     // Eleven responses (order free — workers race), then EOF.
     let mut got = std::collections::BTreeMap::new();
@@ -544,6 +549,11 @@ fn graceful_drain_answers_everything_admitted_then_closes_the_listener() {
     assert_eq!(telemetry.gauge(names::NET_DRAINED).get(), 1.0);
     assert_eq!(telemetry.gauge(names::NET_CONNECTIONS).get(), 0.0);
     assert!(telemetry.counter(names::NET_FRAMES_IN).get() >= 11);
+    assert_eq!(
+        telemetry.counter(names::NET_BYTES_IN).get(),
+        sent_bytes as u64,
+        "cuart.net.bytes_in counts every byte read"
+    );
 
     // And the listener is really gone.
     assert!(

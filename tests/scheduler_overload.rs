@@ -26,7 +26,7 @@ use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::devices;
 use cuart_host::scheduler::{
-    AdmissionPolicy, BreakerConfig, SchedError, Scheduler, SchedulerConfig,
+    AdmissionPolicy, Answer, BreakerConfig, Op, Request, SchedError, Scheduler, SchedulerConfig,
 };
 use cuart_telemetry::{names, Telemetry};
 use std::sync::Arc;
@@ -97,7 +97,7 @@ fn reject_saturation_fails_fast_and_serves_admitted_ops_exactly() {
         served += s;
         rejected += r;
     }
-    let stats = sched.join().unwrap();
+    let stats = sched.join().unwrap().aggregate();
     assert_eq!(stats.ops_enqueued, served);
     assert_eq!(stats.keys_dispatched, served);
     assert_eq!(stats.rejected_ops, rejected);
@@ -156,7 +156,7 @@ fn block_saturation_loses_nothing_and_bounds_the_backlog() {
         h.join().unwrap();
     }
     let total = producers * per_producer_rounds * 64;
-    let stats = sched.join().unwrap();
+    let stats = sched.join().unwrap().aggregate();
     assert_eq!(stats.ops_enqueued, total);
     assert_eq!(stats.keys_dispatched, total);
     assert_eq!(stats.rejected_ops, 0);
@@ -169,38 +169,73 @@ fn block_saturation_loses_nothing_and_bounds_the_backlog() {
 
 #[test]
 fn expired_ops_are_shed_not_dispatched_and_counted() {
-    let telemetry = Arc::new(Telemetry::new());
-    let mut art = Art::new();
-    for i in 0..256u64 {
-        art.insert(&i.to_be_bytes(), i * 3 + 1).unwrap();
+    // Both router paths: one shard (direct to its executor) and three
+    // (split by key prefix, each part shed by its own shard).
+    for shards in [1usize, 3] {
+        let telemetry = Arc::new(Telemetry::new());
+        let mut art = Art::new();
+        for i in 0..256u64 {
+            art.insert(&i.to_be_bytes(), i * 3 + 1).unwrap();
+        }
+        let index = Arc::new(
+            CuartIndex::build(&art, &CuartConfig::for_tests())
+                .with_telemetry(Arc::clone(&telemetry)),
+        );
+        let cfg = SchedulerConfig {
+            batch_target: 1_000_000,
+            deadline: Duration::from_millis(1),
+            ..SchedulerConfig::default()
+        };
+        let devs = vec![devices::gtx1070(); shards];
+        let sched = Scheduler::spawn_fleet(Arc::clone(&index), &devs, cfg).unwrap();
+        let client = sched.client().unwrap();
+        // An already-expired deadline on every op kind: the coalesce-time
+        // shed must answer each before the flush dispatches anything. The
+        // lookup spans the key space, so on three shards it is split.
+        let expired = [
+            Op::Lookup(vec![key(1), key(u64::MAX)]),
+            Op::Update(vec![(key(1), 777)]),
+            Op::Insert(vec![(key(1000), 888)]),
+            Op::Range(vec![(key(0), key(9))]),
+        ];
+        for op in expired {
+            let kind = format!("{op:?}");
+            assert_eq!(
+                client.submit(Request {
+                    op,
+                    deadline: Some(Duration::ZERO),
+                }),
+                Err(SchedError::DeadlineExceeded),
+                "{shards} shard(s): {kind}"
+            );
+        }
+        // A healthy op through the same scheduler still gets a real answer.
+        assert_eq!(
+            client.submit(Request {
+                op: Op::Lookup(vec![key(3)]),
+                deadline: Some(Duration::from_secs(10)),
+            }),
+            Ok(Answer::Values(vec![10]))
+        );
+        // The shed update and insert never landed.
+        assert_eq!(
+            client.lookup(vec![key(1), key(1000)]),
+            Ok(vec![4, NOT_FOUND])
+        );
+        assert_eq!(
+            client.range(vec![(key(0), key(2))]),
+            Ok(vec![vec![(key(0), 1), (key(1), 4), (key(2), 7)]])
+        );
+        drop(client);
+        let stats = sched.join().unwrap().aggregate();
+        assert_eq!(stats.shed_ops, 5, "{shards} shard(s): {stats:?}");
+        assert_eq!(
+            stats.keys_dispatched, 4,
+            "shed keys never reach the device: {stats:?}"
+        );
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counters.get(names::SCHED_SHED), Some(&5));
     }
-    let index = Arc::new(
-        CuartIndex::build(&art, &CuartConfig::for_tests()).with_telemetry(Arc::clone(&telemetry)),
-    );
-    let cfg = SchedulerConfig {
-        batch_target: 1_000_000,
-        deadline: Duration::from_millis(1),
-        ..SchedulerConfig::default()
-    };
-    let sched = Scheduler::spawn(Arc::clone(&index), devices::gtx1070(), cfg);
-    let client = sched.client().unwrap();
-    // An already-expired deadline: the coalesce-time shed must answer
-    // this before the flush dispatches anything.
-    assert_eq!(
-        client.lookup_with_deadline(vec![key(1), key(2)], Duration::ZERO),
-        Err(SchedError::DeadlineExceeded)
-    );
-    // A healthy op through the same scheduler still gets a real answer.
-    assert_eq!(
-        client.lookup_with_deadline(vec![key(3)], Duration::from_secs(10)),
-        Ok(vec![10])
-    );
-    drop(client);
-    let stats = sched.join().unwrap();
-    assert_eq!(stats.shed_ops, 2);
-    assert_eq!(stats.keys_dispatched, 1, "shed keys never reach the device");
-    let snap = telemetry.snapshot();
-    assert_eq!(snap.counters.get(names::SCHED_SHED), Some(&2));
 }
 
 #[test]
@@ -260,7 +295,7 @@ fn fault_storm_walks_the_breaker_and_stays_byte_equal_to_cpu() {
         std::thread::sleep(Duration::from_millis(6));
     }
     drop(client);
-    let stats = sched.join().unwrap();
+    let stats = sched.join().unwrap().aggregate();
     assert!(stats.breaker_trips >= 1, "the storm must trip: {stats:?}");
     assert!(stats.probe_batches >= 2, "{stats:?}");
     assert!(stats.breaker_open_batches >= 1, "{stats:?}");

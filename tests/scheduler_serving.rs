@@ -93,7 +93,7 @@ fn four_producers_one_million_lookups_match_cpu_engine() {
     let checked: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert_eq!(checked, total);
 
-    let stats = sched.join().unwrap();
+    let stats = sched.join().unwrap().aggregate();
     assert_eq!(stats.ops_enqueued, total);
     assert_eq!(stats.keys_dispatched, total);
     assert!(stats.batches >= 1);
@@ -120,7 +120,7 @@ fn one_batch_stats(index: &Arc<CuartIndex>, keys: &[Vec<u8>], sorted: bool) -> S
     let expect_some_hits = client.lookup(keys.to_vec()).expect("scheduler alive");
     assert!(expect_some_hits.iter().any(|&r| r != NOT_FOUND));
     drop(client);
-    let stats = sched.join().unwrap();
+    let stats = sched.join().unwrap().aggregate();
     assert_eq!(stats.batches, 1, "one request, one flush: {stats:?}");
     stats
 }
@@ -199,7 +199,7 @@ fn scheduler_records_sched_telemetry_series() {
     let keys: Vec<Vec<u8>> = (0..512u64).map(|i| i.to_be_bytes().to_vec()).collect();
     client.lookup(keys).unwrap();
     drop(client);
-    let stats = sched.join().unwrap();
+    let stats = sched.join().unwrap().aggregate();
 
     let snap = telemetry.snapshot();
     assert_eq!(snap.counters.get(names::SCHED_ENQUEUED), Some(&512));
@@ -226,6 +226,22 @@ fn scheduler_records_sched_telemetry_series() {
         snap.histograms.contains_key(names::SCHED_QUEUE_LATENCY_NS),
         "queue latency histogram missing"
     );
+    // One shard is never routed: no split span, no router counters and no
+    // per-shard twins of the global series.
+    assert!(
+        snap.spans
+            .iter()
+            .all(|s| s.name != names::spans::SCHED_ROUTE),
+        "a 1-shard scheduler records no sched.route span"
+    );
+    let series = snap.counters.keys().chain(snap.gauges.keys());
+    for name in series {
+        assert!(
+            !name.starts_with("cuart.sched.routed_")
+                && !name.starts_with(names::SCHED_SHARD_PREFIX),
+            "a 1-shard scheduler records no routed or per-shard series: {name}"
+        );
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Integration suite for the sharded multi-device serving layer
-//! (`cuart-host::sharded`).
+//! Integration suite for multi-device serving: a `cuart-host` scheduler
+//! fleet spawned with `Scheduler::spawn_fleet`.
 //!
 //! Four contracts are pinned here:
 //!
@@ -21,8 +21,7 @@ use cuart::{CuartConfig, CuartIndex, ShardRouter};
 use cuart_art::Art;
 use cuart_gpu_sim::batch::NOT_FOUND;
 use cuart_gpu_sim::devices;
-use cuart_host::scheduler::SchedulerConfig;
-use cuart_host::sharded::ShardedScheduler;
+use cuart_host::scheduler::{Scheduler, SchedulerConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -79,8 +78,7 @@ fn mixed_fleet_multi_producer_lookups_match_cpu_engine() {
         devices::gtx1070(),
         devices::gtx1070(),
     ];
-    let sharded =
-        ShardedScheduler::spawn(Arc::clone(&index), &devs, sharded_cfg(8 * 1024)).unwrap();
+    let sharded = Scheduler::spawn_fleet(Arc::clone(&index), &devs, sharded_cfg(8 * 1024)).unwrap();
 
     let mut handles = Vec::new();
     for p in 0..producers {
@@ -137,7 +135,7 @@ fn duplicate_key_updates_win_last_within_one_request() {
     let (index, keys) = build_spread_index(4096, &CuartConfig::for_tests());
     let index = Arc::new(index);
     let devs = [devices::rtx3090(), devices::gtx1070(), devices::gtx1070()];
-    let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, sharded_cfg(4096)).unwrap();
+    let sharded = Scheduler::spawn_fleet(Arc::clone(&index), &devs, sharded_cfg(4096)).unwrap();
     let client = sharded.client().unwrap();
     // Three duplicate groups, chosen to land on distinct shards, with the
     // writes of each group interleaved across the request.
@@ -198,7 +196,7 @@ fn four_homogeneous_shards_scale_modeled_throughput() {
             sort_batches: true,
             ..SchedulerConfig::default()
         };
-        let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, cfg).unwrap();
+        let sharded = Scheduler::spawn_fleet(Arc::clone(&index), &devs, cfg).unwrap();
         let client = sharded.client().unwrap();
         let got = client.lookup(keys.clone()).expect("fleet alive");
         assert_eq!(got, expect, "{shards}-shard results must match CPU");
@@ -231,7 +229,7 @@ fn per_shard_counters_sum_to_global_and_route_span_recorded() {
     let (index, keys) = build_spread_index(8 * 1024, &CuartConfig::for_tests());
     let index = Arc::new(index.with_telemetry(Arc::clone(&telemetry)));
     let devs = [devices::rtx3090(), devices::gtx1070()];
-    let sharded = ShardedScheduler::spawn(Arc::clone(&index), &devs, sharded_cfg(1024)).unwrap();
+    let sharded = Scheduler::spawn_fleet(Arc::clone(&index), &devs, sharded_cfg(1024)).unwrap();
     let client = sharded.client().unwrap();
     let requests = 8usize;
     let per_request = 512usize;
@@ -347,7 +345,7 @@ proptest! {
             .collect();
         let devs = vec![devices::gtx1070(); shards];
         let sharded =
-            ShardedScheduler::spawn(Arc::clone(&index), &devs, sharded_cfg(4096)).unwrap();
+            Scheduler::spawn_fleet(Arc::clone(&index), &devs, sharded_cfg(4096)).unwrap();
         let client = sharded.client().unwrap();
         let got = client.lookup(keys).expect("fleet alive");
         prop_assert_eq!(got, expect);
